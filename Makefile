@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet staticcheck build test race bench bench-engine bench-throughput bench-hybrid examples examples-run fuzz chaos farm
+.PHONY: check vet staticcheck build test race bench bench-engine bench-throughput bench-hybrid bench-selftest examples examples-run fuzz chaos farm
 
 # check is the tier-1 gate: everything CI runs.
 check: vet staticcheck build test race
@@ -31,13 +31,12 @@ race:
 bench: bench-engine
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# bench-engine records the DES scheduling and PDES dispatch benchmarks in
-# benchstat format. BENCH_engine.json is the committed trajectory point;
-# compare a working tree against it with
+# bench-engine records the DES scheduling benchmarks in benchstat format.
+# BENCH_engine.json is the committed trajectory point; compare a working
+# tree against it with
 #   benchstat BENCH_engine.json <(make -s bench-engine)
 bench-engine:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkSharded' -benchmem \
-		./internal/des ./internal/pdes | tee BENCH_engine.json
+	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem ./internal/des | tee BENCH_engine.json
 
 # bench-throughput tracks the simulator hot path (the "scalable" claim):
 # the policy variant must stay within a few percent of the base rate.
@@ -49,6 +48,14 @@ bench-throughput:
 # BENCH_hybrid.json is the committed trajectory point.
 bench-hybrid:
 	$(GO) test -run xxx -bench 'BenchmarkHybridFidelity' -benchtime 1x . | tee BENCH_hybrid.json
+
+# bench-selftest vets and tests the repository benchmark (perfbench/, its
+# own module, so `go test ./...` at the root skips it). It compiles against
+# sim.Options.Engine, sim.OnNew, chaos.Harness.Trial and des.Runner, so a
+# change to those seams fails here rather than in a benchmark run.
+bench-selftest:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 examples:
 	$(GO) build ./examples/...

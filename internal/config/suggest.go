@@ -47,10 +47,11 @@ func unknownFieldOf(err error) (string, bool) {
 // jsonFieldNames collects every JSON field name reachable from v's type,
 // recursing through structs, pointers, slices, arrays, and map values,
 // so a typo'd key nested anywhere in a document gets a suggestion drawn
-// from the whole schema.
+// from the whole schema. Names are sorted and unique: several struct
+// types may declare the same key ("name", "latency_ms").
 func jsonFieldNames(v any) []string {
 	seen := make(map[reflect.Type]bool)
-	var names []string
+	names := make(map[string]bool)
 	var walk func(t reflect.Type)
 	walk = func(t reflect.Type) {
 		switch t.Kind() {
@@ -73,13 +74,18 @@ func jsonFieldNames(v any) []string {
 				case "":
 					name = f.Name
 				}
-				names = append(names, name)
+				names[name] = true
 				walk(f.Type)
 			}
 		}
 	}
 	walk(reflect.TypeOf(v))
-	return names
+	out := make([]string, 0, len(names))
+	for name := range names {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // closest returns the valid name nearest to got by edit distance, or ""

@@ -28,10 +28,6 @@ func (e *Event) At() Time { return e.at }
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// Fn reports the event's callback. It exists for engines executing
-// popped events; model code has no business calling it.
-func (e *Event) Fn() Callback { return e.fn }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -66,7 +62,7 @@ func (h *eventHeap) Pop() any {
 // all scheduling must happen from event callbacks or before Run.
 type Engine struct {
 	now Time
-	q   EventQueue
+	q   eventQueue
 	// stopped is atomic so an external watchdog (signal handler, wall-clock
 	// guard) may call Stop while Run spins on another goroutine. Everything
 	// else on the engine remains single-threaded.
@@ -86,7 +82,7 @@ func New() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of live events currently scheduled.
-func (e *Engine) Pending() int { return e.q.Len() }
+func (e *Engine) Pending() int { return len(e.q.h) }
 
 // Processed reports how many events have fired since construction.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -96,7 +92,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // condition.
 func (e *Engine) At(t Time, fn Callback) *Event {
 	e.check(t, fn)
-	return e.q.Schedule(t, fn, false)
+	return e.q.schedule(t, fn, false)
 }
 
 // After schedules fn to run d after the current virtual time. Negative
@@ -114,7 +110,7 @@ func (e *Engine) After(d Time, fn Callback) *Event {
 // do not allocate in steady state.
 func (e *Engine) Post(t Time, fn Callback) {
 	e.check(t, fn)
-	e.q.Schedule(t, fn, true)
+	e.q.schedule(t, fn, true)
 }
 
 func (e *Engine) check(t Time, fn Callback) {
@@ -129,7 +125,7 @@ func (e *Engine) check(t Time, fn Callback) {
 // Cancel prevents ev from firing and removes its heap entry. Cancelling an
 // already-fired or already-cancelled event is a harmless no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if e.q.Remove(ev) {
+	if e.q.remove(ev) {
 		e.canceled++
 	}
 }
@@ -140,14 +136,14 @@ func (e *Engine) Step() bool {
 	if e.stopped.Load() {
 		return false
 	}
-	ev := e.q.Pop()
+	ev := e.q.pop()
 	if ev == nil {
 		return false
 	}
 	e.now = ev.at
 	e.processed++
 	fn := ev.fn
-	e.q.Recycle(ev)
+	e.q.recycle(ev)
 	fn(e.now)
 	return true
 }
@@ -162,7 +158,7 @@ func (e *Engine) Run() {
 // to the deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline Time) {
 	for !e.stopped.Load() {
-		next, ok := e.q.Peek()
+		next, ok := e.q.peek()
 		if !ok || next > deadline {
 			break
 		}
@@ -174,7 +170,7 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 // NextEventTime reports the firing time of the earliest live pending event.
-func (e *Engine) NextEventTime() (Time, bool) { return e.q.Peek() }
+func (e *Engine) NextEventTime() (Time, bool) { return e.q.peek() }
 
 // Stop halts Run/RunUntil after the current event completes. Further Step
 // calls report false until Resume.

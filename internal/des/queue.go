@@ -2,35 +2,23 @@ package des
 
 import "container/heap"
 
-// EventQueue is a deterministic priority queue of events ordered by
-// (time, sequence). The sequence number is assigned per queue at
+// eventQueue is the Engine's deterministic priority queue of events
+// ordered by (time, sequence). The sequence number is assigned at
 // scheduling time, so ties at the same timestamp fire in scheduling
 // order regardless of heap internals. The queue keeps a freelist of
 // fired fire-and-forget events so steady-state scheduling does not
-// allocate; events scheduled with a handle (Schedule with pooled=false)
+// allocate; events scheduled with a handle (schedule with pooled=false)
 // are never recycled, because the caller may retain the pointer.
-//
-// EventQueue is not safe for concurrent use. The parallel engine gives
-// each logical process its own queue and synchronises at window
-// barriers instead of locking.
-type EventQueue struct {
+type eventQueue struct {
 	h    eventHeap
 	seq  uint64
 	free []*Event
 }
 
-// Len reports the number of entries in the queue, including cancelled
-// events that have not yet been compacted out.
-func (q *EventQueue) Len() int { return len(q.h) }
-
-// Seq reports the next sequence number the queue will assign. Exposed
-// so engines can stamp externally merged events deterministically.
-func (q *EventQueue) Seq() uint64 { return q.seq }
-
-// Schedule enqueues fn at absolute time t and returns its handle. When
+// schedule enqueues fn at absolute time t and returns its handle. When
 // pooled is true the event is recycled onto the freelist after it pops,
 // so the handle must not be retained or cancelled by the caller.
-func (q *EventQueue) Schedule(t Time, fn Callback, pooled bool) *Event {
+func (q *eventQueue) schedule(t Time, fn Callback, pooled bool) *Event {
 	var ev *Event
 	if n := len(q.free); n > 0 {
 		ev = q.free[n-1]
@@ -45,13 +33,13 @@ func (q *EventQueue) Schedule(t Time, fn Callback, pooled bool) *Event {
 	return ev
 }
 
-// Peek reports the timestamp of the earliest live event, discarding any
+// peek reports the timestamp of the earliest live event, discarding any
 // cancelled entries it finds at the top.
-func (q *EventQueue) Peek() (Time, bool) {
+func (q *eventQueue) peek() (Time, bool) {
 	for len(q.h) > 0 {
 		if q.h[0].canceled {
 			ev := heap.Pop(&q.h).(*Event)
-			q.maybeRecycle(ev)
+			q.recycle(ev)
 			continue
 		}
 		return q.h[0].at, true
@@ -59,14 +47,14 @@ func (q *EventQueue) Peek() (Time, bool) {
 	return 0, false
 }
 
-// Pop removes and returns the earliest live event, or nil when the
+// pop removes and returns the earliest live event, or nil when the
 // queue is empty. The caller is responsible for recycling pooled
-// events after invoking their callbacks (see Recycle).
-func (q *EventQueue) Pop() *Event {
+// events after invoking their callbacks (see recycle).
+func (q *eventQueue) pop() *Event {
 	for len(q.h) > 0 {
 		ev := heap.Pop(&q.h).(*Event)
 		if ev.canceled {
-			q.maybeRecycle(ev)
+			q.recycle(ev)
 			continue
 		}
 		return ev
@@ -74,45 +62,25 @@ func (q *EventQueue) Pop() *Event {
 	return nil
 }
 
-// PopBefore removes and returns the earliest live event strictly before
-// end, or nil when none qualifies. Used by the parallel engine to drain
-// a lookahead window without disturbing events beyond it.
-func (q *EventQueue) PopBefore(end Time) *Event {
-	for {
-		at, ok := q.Peek()
-		if !ok || at >= end {
-			return nil
-		}
-		ev := heap.Pop(&q.h).(*Event)
-		if ev.canceled {
-			q.maybeRecycle(ev)
-			continue
-		}
-		return ev
-	}
-}
-
-// Remove cancels ev and, when it is still queued, removes its heap
+// remove cancels ev and, when it is still queued, removes its heap
 // entry in O(log n). It reports whether an entry was removed.
-func (q *EventQueue) Remove(ev *Event) bool {
+func (q *eventQueue) remove(ev *Event) bool {
 	if ev == nil || ev.canceled {
 		return false
 	}
 	ev.canceled = true
 	if ev.index >= 0 {
 		heap.Remove(&q.h, ev.index)
-		q.maybeRecycle(ev)
+		q.recycle(ev)
 		return true
 	}
 	return false
 }
 
-// Recycle returns a popped pooled event to the freelist. Calling it
-// with a non-pooled event is a no-op, so engines can call it
+// recycle returns a popped pooled event to the freelist. Calling it
+// with a non-pooled event is a no-op, so the engine can call it
 // unconditionally after firing.
-func (q *EventQueue) Recycle(ev *Event) { q.maybeRecycle(ev) }
-
-func (q *EventQueue) maybeRecycle(ev *Event) {
+func (q *eventQueue) recycle(ev *Event) {
 	if !ev.pooled {
 		return
 	}

@@ -3,18 +3,18 @@ package des
 import "testing"
 
 func TestEventQueueOrderAndRecycle(t *testing.T) {
-	var q EventQueue
+	var q eventQueue
 	var got []int
 	rec := func(i int) Callback { return func(Time) { got = append(got, i) } }
 
-	q.Schedule(30, rec(2), true)
-	q.Schedule(10, rec(0), true)
-	q.Schedule(10, rec(1), true) // same time: scheduling order breaks the tie
-	q.Schedule(40, rec(3), false)
+	q.schedule(30, rec(2), true)
+	q.schedule(10, rec(0), true)
+	q.schedule(10, rec(1), true) // same time: scheduling order breaks the tie
+	q.schedule(40, rec(3), false)
 
 	var prev Time
 	for {
-		ev := q.Pop()
+		ev := q.pop()
 		if ev == nil {
 			break
 		}
@@ -23,7 +23,7 @@ func TestEventQueueOrderAndRecycle(t *testing.T) {
 		}
 		prev = ev.At()
 		ev.fn(ev.At())
-		q.Recycle(ev)
+		q.recycle(ev)
 	}
 	for i, v := range got {
 		if v != i {
@@ -36,58 +36,30 @@ func TestEventQueueOrderAndRecycle(t *testing.T) {
 
 	// Re-scheduling must reuse freelist storage.
 	before := len(q.free)
-	q.Schedule(50, rec(4), true)
+	q.schedule(50, rec(4), true)
 	if len(q.free) != before-1 {
 		t.Fatalf("Schedule did not draw from freelist: %d -> %d", before, len(q.free))
 	}
 }
 
-func TestEventQueuePopBefore(t *testing.T) {
-	var q EventQueue
-	fn := func(Time) {}
-	q.Schedule(10, fn, true)
-	q.Schedule(20, fn, true)
-	q.Schedule(30, fn, true)
-
-	if ev := q.PopBefore(10); ev != nil {
-		t.Fatalf("PopBefore(10) returned event at %v, want nil (end is exclusive)", ev.At())
-	}
-	ev := q.PopBefore(25)
-	if ev == nil || ev.At() != 10 {
-		t.Fatalf("PopBefore(25) = %v, want event at 10", ev)
-	}
-	q.Recycle(ev)
-	ev = q.PopBefore(25)
-	if ev == nil || ev.At() != 20 {
-		t.Fatalf("PopBefore(25) = %v, want event at 20", ev)
-	}
-	q.Recycle(ev)
-	if ev := q.PopBefore(25); ev != nil {
-		t.Fatalf("PopBefore(25) = event at %v, want nil", ev.At())
-	}
-	if n := q.Len(); n != 1 {
-		t.Fatalf("queue has %d events, want 1", n)
-	}
-}
-
 func TestEventQueueRemove(t *testing.T) {
-	var q EventQueue
+	var q eventQueue
 	fired := false
-	ev := q.Schedule(10, func(Time) { fired = true }, false)
-	q.Schedule(20, func(Time) {}, true)
+	ev := q.schedule(10, func(Time) { fired = true }, false)
+	q.schedule(20, func(Time) {}, true)
 
-	if !q.Remove(ev) {
+	if !q.remove(ev) {
 		t.Fatal("Remove reported false for a queued event")
 	}
-	if q.Remove(ev) {
+	if q.remove(ev) {
 		t.Fatal("second Remove reported true")
 	}
-	if at, ok := q.Peek(); !ok || at != 20 {
-		t.Fatalf("Peek = %v,%v, want 20,true", at, ok)
+	if at, ok := q.peek(); !ok || at != 20 {
+		t.Fatalf("peek = %v,%v, want 20,true", at, ok)
 	}
-	for ev := q.Pop(); ev != nil; ev = q.Pop() {
+	for ev := q.pop(); ev != nil; ev = q.pop() {
 		ev.fn(ev.At())
-		q.Recycle(ev)
+		q.recycle(ev)
 	}
 	if fired {
 		t.Fatal("cancelled event fired")

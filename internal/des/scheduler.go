@@ -1,10 +1,10 @@
 package des
 
 // Scheduler is the scheduling surface a simulation model needs: read
-// the clock, schedule callbacks, cancel them. Both the sequential
-// Engine and each logical process of the parallel engine implement it,
-// so services, workloads, monitors and controllers are agnostic to
-// which engine executes them.
+// the clock, schedule callbacks, cancel them. Engine implements it;
+// services, workloads, monitors and controllers depend only on this
+// narrow surface, so a decorator (a tracer timing every callback, a
+// meter counting calls) can stand between them and the engine.
 type Scheduler interface {
 	// Now reports the current virtual time.
 	Now() Time
@@ -25,7 +25,8 @@ type Scheduler interface {
 
 // Runner extends Scheduler with run-loop control. Top-level harnesses
 // (Sim, experiments, benchmarks) drive a Runner; model components only
-// ever need the Scheduler half.
+// ever need the Scheduler half. sim.Options.Engine takes a Runner so a
+// caller can hand Sim a wrapped Engine.
 type Runner interface {
 	Scheduler
 	// Run fires events until the queue drains or Stop is called.
@@ -44,6 +45,6 @@ type Runner interface {
 	// Processed reports how many events have fired since construction.
 	Processed() uint64
 	// NextEventTime reports the firing time of the earliest pending
-	// event across the whole engine.
+	// event.
 	NextEventTime() (Time, bool)
 }

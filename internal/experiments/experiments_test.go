@@ -289,26 +289,13 @@ func TestExtTimeoutsSmoke(t *testing.T) {
 
 func TestScalabilitySmoke(t *testing.T) {
 	tb := smoke(t, "scalability")
-	if len(tb.Rows) < 4 {
+	if len(tb.Rows) < 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	engines := map[string]bool{}
 	for _, r := range tb.Rows {
-		engines[r[1]] = true
-		if r[5] == "0" {
+		if r[3] == "0" {
 			t.Fatalf("zero events in %v", r)
 		}
-		if r[1] == "pdes" && r[2] == "1" && r[8] != "1.00" {
-			t.Fatalf("workers=1 baseline speedup %q in %v", r[8], r)
-		}
-		if r[1] == "pdes" && r[2] != "1" {
-			if _, err := strconv.ParseFloat(r[8], 64); err != nil {
-				t.Fatalf("unparseable speedup %q in %v", r[8], r)
-			}
-		}
-	}
-	if !engines["sim"] || !engines["pdes"] {
-		t.Fatalf("missing engine series: %v", engines)
 	}
 }
 

@@ -121,10 +121,10 @@ type Options struct {
 	// Seed drives all random streams.
 	Seed uint64
 	// Engine, when non-nil, supplies the event engine the simulation
-	// runs on (e.g. a pdes coordinator). Nil gets a fresh sequential
-	// des.Engine. Any engine must execute events in the same
-	// deterministic (time, seq) order — same-seed runs produce
-	// identical results on every conforming engine.
+	// runs on. Nil gets a fresh des.Engine. The seam exists so callers
+	// can wrap the engine (a des.Runner decorator that traces or meters
+	// events) or run a prepared one; a wrapper must leave the (time, seq)
+	// event order untouched, so same-seed runs stay bit-identical.
 	Engine des.Runner
 }
 

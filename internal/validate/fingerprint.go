@@ -11,7 +11,7 @@ import (
 // comparable string: every counter, the latency quantiles, the sorted
 // per-service error breakdowns, and the per-instance outcome counts. Two
 // runs with equal fingerprints observed the same simulation — the equality
-// the determinism tests and the chaos harness's sim-vs-pdes invariant
+// the determinism tests and the chaos harness's same-seed rerun invariant
 // assert, and the identity a replayed corpus scenario must reproduce
 // bit-for-bit.
 func Fingerprint(rep *sim.Report) string {

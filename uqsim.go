@@ -47,7 +47,6 @@ import (
 	"uqsim/internal/hybrid"
 	"uqsim/internal/monitor"
 	"uqsim/internal/netfault"
-	"uqsim/internal/pdes"
 	"uqsim/internal/power"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
@@ -105,42 +104,17 @@ const (
 	Second      = des.Second
 )
 
-// ---- simulation engines ----
+// ---- simulation engine ----
 
 // Scheduler is the event-scheduling surface model code sees (Now, At,
 // After, Post, Cancel).
 type Scheduler = des.Scheduler
 
 // Runner is a complete engine: a Scheduler that can also drive the event
-// loop. Options.Engine accepts any Runner; nil selects the sequential
-// engine.
+// loop. Options.Engine accepts any Runner; nil selects a fresh
+// sequential engine. Supplying one lets a caller wrap the engine, for
+// example with a decorator that traces or meters every event.
 type Runner = des.Runner
-
-// NewParallelEngine returns the conservative parallel engine configured
-// as a coordinator for a full Sim: it executes the exact deterministic
-// event order of the sequential engine, so results are bit-identical for
-// the same seed. Pass it as Options.Engine. The JSON front-end's
-// machines.json "engine": {"workers": N} section is equivalent.
-func NewParallelEngine(workers int) Runner {
-	return pdes.New(pdes.Options{LPs: 1, Workers: workers, Lookahead: Millisecond})
-}
-
-// ShardedCluster is the LP-decomposed fan-out cluster model: machines are
-// partitioned across logical processes and simulated in parallel
-// lookahead windows, with cross-LP messages merged deterministically so
-// every worker count reproduces the same trace.
-type ShardedCluster = pdes.ShardedCluster
-
-// ShardedClusterConfig parameterizes a ShardedCluster.
-type ShardedClusterConfig = pdes.ShardedClusterConfig
-
-// ShardReport is the outcome of a ShardedCluster run.
-type ShardReport = pdes.ShardReport
-
-// NewShardedCluster assembles the sharded fan-out model.
-func NewShardedCluster(cfg ShardedClusterConfig) (*ShardedCluster, error) {
-	return pdes.NewShardedCluster(cfg)
-}
 
 // ---- cluster ----
 
@@ -565,7 +539,7 @@ type ChaosReplayResult = chaos.ReplayResult
 
 // RunChaos generates seeded random fault schedules against the config
 // directory in opts, verifies each against the simulator's invariants
-// (conservation, drain, cross-engine determinism, post-heal recovery),
+// (conservation, drain, same-seed rerun determinism, post-heal recovery),
 // shrinks every violation to a minimal reproduction, and archives the
 // repros as replayable corpus entries. The same engine backs
 // cmd/uqsim-chaos.
