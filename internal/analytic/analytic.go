@@ -199,8 +199,9 @@ func MMkAt(lambda, mu float64, k int) MMkPoint {
 		p.QueueLen = SaturatedWait
 		return p
 	}
+	// One Erlang-C pass: MeanWaitS is exactly MMkMeanWait's expression.
 	p.PWait = ErlangC(k, lambda/mu)
-	p.MeanWaitS = MMkMeanWait(lambda, mu, k)
+	p.MeanWaitS = p.PWait / (float64(k)*mu - lambda)
 	p.QueueLen = lambda * p.MeanWaitS
 	return p
 }
@@ -212,6 +213,10 @@ func MMkAt(lambda, mu float64, k int) MMkPoint {
 // fixed point; the returned rate never exceeds the bottleneck capacity
 // k/es (a closed loop self-limits — users queue rather than vanish, so
 // there is no shed flow). Degenerate inputs return 0.
+//
+// The iteration runs at most 64 steps and stops as soon as a step leaves
+// λ unchanged: the map is a pure function of λ, so every later step
+// would return the same value and the result equals the full 64.
 func ClosedMMkRate(n, thinkS, es float64, k int) float64 {
 	if n <= 0 || es <= 0 || k <= 0 || thinkS < 0 {
 		return 0
@@ -221,16 +226,19 @@ func ClosedMMkRate(n, thinkS, es float64, k int) float64 {
 	// Start from the no-queueing estimate, clamped inside capacity.
 	lam := math.Min(n/(thinkS+es), 0.999*capacity)
 	for i := 0; i < 64; i++ {
-		w := MMkMeanWait(lam, mu, k)
-		if IsSaturated(w) {
+		prev := lam
+		if w := MMkMeanWait(lam, mu, k); IsSaturated(w) {
 			lam = 0.999 * capacity
-			continue
+		} else {
+			next := n / (thinkS + es + w)
+			if next >= capacity {
+				next = 0.999 * capacity
+			}
+			lam = 0.5*lam + 0.5*next
 		}
-		next := n / (thinkS + es + w)
-		if next >= capacity {
-			next = 0.999 * capacity
+		if lam == prev {
+			break
 		}
-		lam = 0.5*lam + 0.5*next
 	}
 	return lam
 }

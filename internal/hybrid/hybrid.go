@@ -367,8 +367,12 @@ func (st *State) eval(t des.Time) {
 		}
 		if m := &st.memo[i]; !m.valid || m.lambda != lambda || m.k != k || m.mu != mu {
 			amp := amplification(lambda, mu, k, s.Policy)
-			p := analytic.MMkAt(lambda*amp, mu, k)
-			_, cond := analytic.MMkWaitDist(lambda*amp, mu, k)
+			lamEff := lambda * amp
+			p := analytic.MMkAt(lamEff, mu, k)
+			cond := 0.0 // saturated: every arrival waits unboundedly
+			if !p.Saturated {
+				cond = float64(k)*mu - lamEff
+			}
 			st.points[i] = point{
 				MMkPoint: p,
 				condRate: cond,
@@ -426,6 +430,10 @@ func (st *State) shedCauseFor(i int, lambda, mu float64, k int, speed float64) s
 // system entering the storm). With a breaker threshold, an equilibrium
 // failure rate at or above it holds the breaker open in mean field:
 // retries fail fast and the amplification collapses back toward 1.
+//
+// The iteration runs at most 32 steps and stops once a step leaves amp
+// unchanged — at once when the timeout tail underflows to zero — since
+// the step is a pure function of amp and the rest would repeat it.
 func amplification(lambda, mu float64, k int, pol *Policy) float64 {
 	if pol == nil || pol.MaxRetries <= 0 || lambda <= 0 || k <= 0 || mu <= 0 {
 		return 1
@@ -437,7 +445,11 @@ func amplification(lambda, mu float64, k int, pol *Policy) float64 {
 		if pol.BreakerThreshold > 0 && pTO >= pol.BreakerThreshold {
 			next = 1
 		}
+		prev := amp
 		amp = 0.5*amp + 0.5*next
+		if amp == prev {
+			break
+		}
 	}
 	return amp
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"uqsim/internal/analytic"
@@ -139,29 +140,7 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 	if s.clientCfg.Sessions != nil {
 		cfg.Closed = true
 		sc := s.clientCfg.Sessions
-		think := sc.MeanThinkS()
-		fpSvcs := svcs
-		// The fixed point costs O(iterations × total cores) via ErlangC;
-		// the envelope is piecewise-constant, so memoize on the population
-		// and the deployment's live core counts (which faults can change).
-		var memoPop, memoRate float64
-		var memoSig uint64
-		memoPop = -1
-		rate = func(t des.Time) float64 {
-			n := float64(sc.PopulationAt(t))
-			sig := uint64(0)
-			for _, sv := range fpSvcs {
-				sig = sig*1000003 + uint64(sv.Servers())
-				if sv.Speed != nil {
-					sig = sig*1000003 + math.Float64bits(sv.Speed())
-				}
-			}
-			if n != memoPop || sig != memoSig {
-				memoPop, memoSig = n, sig
-				memoRate = closedPopulationRate(n, think, fpSvcs)
-			}
-			return memoRate
-		}
+		rate = closedRateMemo(sc, svcs)
 	} else {
 		base := s.clientCfg.Pattern
 		rate = func(t des.Time) float64 { return base.RateAt(t) }
@@ -182,6 +161,34 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 	}
 	st.Start(s.eng, 0, warmupEnd)
 	return nil
+}
+
+// closedRateMemo returns the session envelope's offered rate: the closed
+// fixed point at the population of time t. Each step of the fixed point
+// costs one Erlang-C pass, O(cores), per service, and once the rate
+// settles the loop stops; the envelope is piecewise-constant, so the
+// result is memoized on the population and the exact live core count and
+// speed of every service (which faults change).
+func closedRateMemo(sc *workload.SessionConfig, svcs []hybrid.Service) func(t des.Time) float64 {
+	think := sc.MeanThinkS()
+	memoPop, memoRate := -1.0, 0.0
+	var memoKey, key []float64
+	return func(t des.Time) float64 {
+		n := float64(sc.PopulationAt(t))
+		key = key[:0]
+		for _, sv := range svcs {
+			key = append(key, float64(sv.Servers()))
+			if sv.Speed != nil {
+				key = append(key, sv.Speed())
+			}
+		}
+		if n != memoPop || !slices.Equal(key, memoKey) {
+			memoPop = n
+			memoKey, key = key, memoKey
+			memoRate = closedPopulationRate(n, think, svcs)
+		}
+		return memoRate
+	}
 }
 
 // fluidCallers maps each service to the sorted set of services whose
@@ -436,7 +443,10 @@ func closedPopulationRate(n, thinkS float64, svcs []hybrid.Service) float64 {
 	if !math.IsInf(capacity, 1) && lam > 0.999*capacity {
 		lam = 0.999 * capacity
 	}
+	// At most 64 damped steps, stopping once a step leaves λ unchanged:
+	// the step is a pure function of λ, so the rest would repeat it.
 	for i := 0; i < 64; i++ {
+		prev := lam
 		r := thinkS
 		saturated := false
 		for j := range svcs {
@@ -460,13 +470,16 @@ func closedPopulationRate(n, thinkS float64, svcs []hybrid.Service) float64 {
 				return 0
 			}
 			lam = 0.999 * capacity
-			continue
+		} else {
+			next := n / r
+			if !math.IsInf(capacity, 1) && next > 0.999*capacity {
+				next = 0.999 * capacity
+			}
+			lam = 0.5*lam + 0.5*next
 		}
-		next := n / r
-		if !math.IsInf(capacity, 1) && next > 0.999*capacity {
-			next = 0.999 * capacity
+		if lam == prev {
+			break
 		}
-		lam = 0.5*lam + 0.5*next
 	}
 	if math.IsNaN(lam) || math.IsInf(lam, 0) || lam < 0 {
 		return 0

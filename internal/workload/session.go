@@ -139,6 +139,9 @@ func (c *SessionConfig) Validate() error {
 			return fmt.Errorf("workload: flash crowd %d times must be >= 0", i)
 		}
 	}
+	if c.peakUsers() < 0 {
+		return fmt.Errorf("workload: sessions peak population (users plus every flash crowd) overflows int")
+	}
 	if c.OnOff != nil {
 		if c.OnOff.MeanOn <= 0 || c.OnOff.MeanOff <= 0 {
 			return fmt.Errorf("workload: on/off mean_on and mean_off must be positive, got %v/%v",
@@ -176,6 +179,23 @@ func (c *SessionConfig) PopulationAt(t des.Time) int {
 		return 0
 	}
 	return int(math.Round(base))
+}
+
+// peakUsers bounds the envelope from above: the largest phase target
+// (or base population) plus every flash crowd at full strength. It
+// returns -1 when that sum overflows int.
+func (c *SessionConfig) peakUsers() int {
+	peak := c.Users
+	for _, p := range c.Phases {
+		peak = max(peak, p.Users)
+	}
+	for _, f := range c.Crowds {
+		if f.Extra > math.MaxInt-peak {
+			return -1
+		}
+		peak += f.Extra
+	}
+	return peak
 }
 
 func (f FlashCrowd) extraAt(t des.Time) float64 {
@@ -313,6 +333,7 @@ func NewSessions(eng des.Scheduler, split *rng.Splitter, cfg SessionConfig, emit
 		eng:   eng,
 		split: split,
 		users: make(map[int]*sessionUser),
+		order: make([]int, 0, cfg.peakUsers()),
 	}
 	s.jCum = make([]float64, len(cfg.Journeys))
 	cum := 0.0
@@ -405,16 +426,24 @@ func (s *Sessions) spawn(now des.Time) {
 	s.issueAfterThink(now, id, u)
 }
 
+// retiredMarker tombstones a background marker retire has removed. User
+// ids are never negative, so no marker -id-1 can equal it.
+const retiredMarker = math.MinInt
+
 // retire removes n users, newest first. Background users vanish
 // immediately; simulated users depart at their next step boundary so
-// inflight requests drain and conservation holds.
+// inflight requests drain and conservation holds. Removed markers are
+// tombstoned during the scan and the scanned tail compacted once, so
+// retiring m background users costs one pass, not m slice copies.
 func (s *Sessions) retire(n int) {
+	lo := len(s.order)
 	for i := len(s.order) - 1; i >= 0 && n > 0; i-- {
+		lo = i
 		key := s.order[i]
 		if key < 0 { // background marker
 			if s.bgUsers > 0 {
 				s.bgUsers--
-				s.order = append(s.order[:i], s.order[i+1:]...)
+				s.order[i] = retiredMarker
 				n--
 			}
 			continue
@@ -427,6 +456,14 @@ func (s *Sessions) retire(n int) {
 		s.pendingRetire++
 		n--
 	}
+	kept := lo
+	for _, key := range s.order[lo:] {
+		if key != retiredMarker {
+			s.order[kept] = key
+			kept++
+		}
+	}
+	s.order = s.order[:kept]
 }
 
 func (s *Sessions) pickJourney(r *rng.Source) int {

@@ -2,6 +2,9 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,6 +76,9 @@ func TestSessionConfigValidate(t *testing.T) {
 		{"flash crowd negative ramp", func(c *SessionConfig) {
 			c.Crowds = []FlashCrowd{{At: des.Second, Extra: 5, RampUp: -1}}
 		}, "times must be >= 0"},
+		{"peak population overflows", func(c *SessionConfig) {
+			c.Crowds = []FlashCrowd{{At: des.Second, Extra: math.MaxInt}}
+		}, "overflows int"},
 		{"on/off zero mean", func(c *SessionConfig) {
 			c.OnOff = &OnOff{MeanOn: 0, MeanOff: des.Second}
 		}, "mean_on and mean_off must be positive"},
@@ -393,5 +399,134 @@ func TestSessionsOnOff(t *testing.T) {
 	bursty := count(&OnOff{MeanOn: 50 * des.Millisecond, MeanOff: 150 * des.Millisecond})
 	if bursty >= always*3/4 {
 		t.Fatalf("on/off users issued %d vs always-on %d; want a clear reduction", bursty, always)
+	}
+}
+
+// retireRef is the reference retire: each retired background marker is
+// spliced out of order on its own, with no tombstones.
+func retireRef(s *Sessions, n int) {
+	for i := len(s.order) - 1; i >= 0 && n > 0; i-- {
+		key := s.order[i]
+		if key < 0 {
+			if s.bgUsers > 0 {
+				s.bgUsers--
+				s.order = append(s.order[:i], s.order[i+1:]...)
+				n--
+			}
+			continue
+		}
+		u, ok := s.users[key]
+		if !ok || u.retiring {
+			continue
+		}
+		u.retiring = true
+		s.pendingRetire++
+		n--
+	}
+}
+
+// TestSessionsRetireMatchesReference drives two session sources through
+// the same seeded random sequence of spawns, retirements and departures,
+// with a mix of sampled and background users (user 0 among both kinds
+// across trials). One retires with tombstone compaction, the other with
+// the per-marker splice; after every step the spawn order, the
+// background and pending-retirement counts and every user's retiring
+// flag must agree.
+func TestSessionsRetireMatchesReference(t *testing.T) {
+	for trial := uint64(0); trial < 40; trial++ {
+		r := rand.New(rand.NewPCG(trial, 99))
+		sampled := map[int]bool{}
+		frac := []float64{0, 0.05, 0.3, 0.7, 1}[trial%5]
+		sample := func(id int) bool {
+			if v, ok := sampled[id]; ok {
+				return v
+			}
+			sampled[id] = r.Float64() < frac
+			return sampled[id]
+		}
+		build := func() *Sessions {
+			cfg := validSessionConfig()
+			s, err := NewSessions(des.New(), rng.NewSplitter(trial).Child("sessions"), cfg,
+				func(des.Time, int, int) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SampleUser = sample
+			return s
+		}
+		got, want := build(), build()
+		for step := 0; step < 200; step++ {
+			var op string
+			switch x := r.IntN(10); {
+			case x < 4:
+				k := 1 + r.IntN(40)
+				op = fmt.Sprintf("spawn %d", k)
+				for i := 0; i < k; i++ {
+					got.spawn(0)
+					want.spawn(0)
+				}
+			case x < 8:
+				n := r.IntN(len(want.order) + 3)
+				op = fmt.Sprintf("retire %d", n)
+				got.retire(n)
+				retireRef(want, n)
+			default:
+				var retiring []int
+				for id, u := range want.users {
+					if u.retiring {
+						retiring = append(retiring, id)
+					}
+				}
+				if len(retiring) == 0 {
+					continue
+				}
+				slices.Sort(retiring)
+				id := retiring[r.IntN(len(retiring))]
+				op = fmt.Sprintf("depart %d", id)
+				got.depart(id, got.users[id])
+				want.depart(id, want.users[id])
+			}
+			if !slices.Equal(got.order, want.order) {
+				t.Fatalf("trial %d step %d (%s): order\n got %v\nwant %v", trial, step, op, got.order, want.order)
+			}
+			if got.bgUsers != want.bgUsers || got.pendingRetire != want.pendingRetire {
+				t.Fatalf("trial %d step %d (%s): bg %d pending %d, want bg %d pending %d", trial, step, op,
+					got.bgUsers, got.pendingRetire, want.bgUsers, want.pendingRetire)
+			}
+			if len(got.users) != len(want.users) {
+				t.Fatalf("trial %d step %d (%s): %d simulated users, want %d", trial, step, op, len(got.users), len(want.users))
+			}
+			for id, wu := range want.users {
+				if gu, ok := got.users[id]; !ok || gu.retiring != wu.retiring {
+					t.Fatalf("trial %d step %d (%s): user %d retiring mismatch", trial, step, op, id)
+				}
+			}
+		}
+	}
+}
+
+// TestSessionsOrderPreallocated: the spawn-order slice is sized up front
+// to the envelope's peak, so growing to the peak never copies it.
+func TestSessionsOrderPreallocated(t *testing.T) {
+	cfg := validSessionConfig()
+	cfg.Users = 30
+	cfg.Phases = []PopPhase{{At: des.Second, Users: 80}, {At: 2 * des.Second, Users: 50}}
+	cfg.Crowds = []FlashCrowd{{At: des.Second, Extra: 15}, {At: 3 * des.Second, Extra: 5}}
+	s, err := NewSessions(des.New(), rng.NewSplitter(1).Child("sessions"), cfg, func(des.Time, int, int) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const peak = 80 + 15 + 5
+	if got := cap(s.order); got != peak {
+		t.Fatalf("order capacity %d, want the envelope peak %d", got, peak)
+	}
+	s.SampleUser = func(id int) bool { return id%2 == 0 }
+	s.spawn(0)
+	first := &s.order[0]
+	for i := 1; i < peak; i++ {
+		s.spawn(0)
+	}
+	if &s.order[0] != first {
+		t.Fatal("spawning up to the peak reallocated the order slice")
 	}
 }
