@@ -27,9 +27,10 @@ race:
 	$(GO) test -race ./...
 
 # bench runs every experiment benchmark once at reduced scale, then the
-# engine microbenchmarks.
-bench: bench-engine
+# engine microbenchmarks. It writes no file; bench-engine records them.
+bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem ./internal/des
 
 # bench-engine records the DES scheduling benchmarks in benchstat format.
 # BENCH_engine.json is the committed trajectory point; compare a working

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"uqsim/internal/cli"
+	"uqsim/internal/config"
 	"uqsim/internal/experiments"
 	"uqsim/internal/sim"
 )
@@ -53,7 +54,7 @@ func run(cfgDir string, from, to, step float64, csv bool, maxWall time.Duration,
 	grid := experiments.SweepGrid(from, to, step)
 	var mod func(*sim.Sim) error
 	if fidelity != "" || sampleRate != 0 {
-		mod = func(s *sim.Sim) error { return experiments.ApplyFidelity(s, fidelity, sampleRate) }
+		mod = func(s *sim.Sim) error { return config.ApplyFidelity(s, fidelity, sampleRate) }
 	}
 	for i, qps := range grid {
 		if wd.Interrupted() {

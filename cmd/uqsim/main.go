@@ -57,13 +57,16 @@ func main() {
 }
 
 func run(cfgDir, faultsPath string, qps float64, warmup, duration time.Duration, csv bool, fidelity string, sampleRate float64) error {
-	var setup *config.Setup
-	var err error
-	if faultsPath != "" {
-		setup, err = config.LoadDirWithFaults(cfgDir, faultsPath)
-	} else {
-		setup, err = config.LoadDir(cfgDir)
+	docs, err := config.ReadBase(cfgDir)
+	if err != nil {
+		return err
 	}
+	if faultsPath != "" {
+		if docs.Faults, err = os.ReadFile(faultsPath); err != nil {
+			return fmt.Errorf("config: reading %s: %w", faultsPath, err)
+		}
+	}
+	setup, err := docs.Assemble()
 	if err != nil {
 		return err
 	}
@@ -74,7 +77,7 @@ func run(cfgDir, faultsPath string, qps float64, warmup, duration time.Duration,
 		cc.Sessions = nil
 		setup.Sim.SetClient(cc)
 	}
-	if err := experiments.ApplyFidelity(setup.Sim, fidelity, sampleRate); err != nil {
+	if err := config.ApplyFidelity(setup.Sim, fidelity, sampleRate); err != nil {
 		return err
 	}
 	w, d := setup.Warmup, setup.Duration

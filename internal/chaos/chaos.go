@@ -19,8 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"uqsim/internal/config"
 	"uqsim/internal/des"
@@ -141,13 +139,13 @@ type Result struct {
 }
 
 // Harness holds everything needed to run scenarios against one config
-// directory: the parsed base documents, the optional base fault and
-// control files, and the extracted world model the generator draws from.
+// directory: its documents (control.json attaches inside Assemble), the
+// strictly decoded base faults.json, and the extracted world model the
+// generator draws from.
 type Harness struct {
 	opts       Options
 	docs       *config.BaseDocs
 	baseFaults *config.FaultsFile
-	control    []byte
 	world      world
 	horizonS   float64
 	horizon    des.Time
@@ -242,20 +240,10 @@ func NewHarness(opts Options) (*Harness, error) {
 		h.world.services = append(h.world.services, svcInfo{name: d.Service, instances: len(d.Instances)})
 	}
 
-	ffPath := filepath.Join(o.ConfigDir, "faults.json")
-	if data, err := os.ReadFile(ffPath); err == nil {
-		h.baseFaults = &config.FaultsFile{}
-		if err := json.Unmarshal(data, h.baseFaults); err != nil {
-			return nil, fmt.Errorf("chaos: %s: %w", ffPath, err)
+	if docs.Faults != nil {
+		if h.baseFaults, err = config.DecodeFaults(docs.Faults); err != nil {
+			return nil, err
 		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("chaos: reading %s: %w", ffPath, err)
-	}
-	ctlPath := filepath.Join(o.ConfigDir, "control.json")
-	if data, err := os.ReadFile(ctlPath); err == nil {
-		h.control = data
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("chaos: reading %s: %w", ctlPath, err)
 	}
 	return h, nil
 }

@@ -3,6 +3,7 @@ package chaos
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"uqsim/internal/config"
@@ -309,6 +310,37 @@ func TestRejectsClosedLoop(t *testing.T) {
 	}
 	if _, err := NewHarness(Options{ConfigDir: dir}); err == nil {
 		t.Fatal("closed-loop config accepted")
+	}
+}
+
+// The base faults.json is decoded as strictly as uqsim decodes it: a
+// misspelled key fails instead of silently running without policies.
+func TestRejectsUnknownFaultsKey(t *testing.T) {
+	dir := t.TempDir()
+	names, err := filepath.Glob(filepath.Join(metastableDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range names {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Base(src) == "faults.json" {
+			typo := strings.Replace(string(data), `"policies"`, `"polices"`, 1)
+			if typo == string(data) {
+				t.Fatal("metastable faults.json has no policies key")
+			}
+			data = []byte(typo)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(src)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = NewHarness(Options{ConfigDir: dir})
+	want := `unknown field "polices" (did you mean "policies"?)`
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewHarness error = %v, want it to contain %q", err, want)
 	}
 }
 

@@ -189,15 +189,15 @@ func ReplayWith(configDir, entryDir, fidelity string, sampleRate float64) (*Repl
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	var ff config.FaultsFile
-	if err := json.Unmarshal(faultsJSON, &ff); err != nil {
-		return nil, fmt.Errorf("chaos: %s/faults.json: %w", entryDir, err)
+	ff, err := config.DecodeFaults(faultsJSON)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %s: %w", entryDir, err)
 	}
 	h, err := NewHarness(Options{ConfigDir: configDir, Fidelity: fidelity, SampleRate: sampleRate})
 	if err != nil {
 		return nil, err
 	}
-	v, fp, err := h.verifyFaults(meta.Seed, faultsJSON, &ff)
+	v, fp, err := h.verifyFaults(meta.Seed, faultsJSON, ff)
 	if err != nil {
 		return nil, err
 	}

@@ -197,14 +197,7 @@ func (h *Harness) runOnce(seed uint64, faultsJSON []byte, winStart des.Time, fid
 	if err := config.ApplyFidelity(setup.Sim, fidelity, sampleRate); err != nil {
 		return nil, err
 	}
-	res := &runResult{sim: setup.Sim, horizon: setup.Warmup + setup.Duration}
-	if h.control != nil {
-		plane, err := config.ApplyControl(setup.Sim, h.control)
-		if err != nil {
-			return nil, err
-		}
-		res.plane = plane
-	}
+	res := &runResult{sim: setup.Sim, plane: setup.Plane, horizon: setup.Warmup + setup.Duration}
 	if winStart > 0 {
 		win := &windowStats{hist: stats.NewLatencyHist()}
 		res.window = win

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"uqsim/internal/cluster"
@@ -35,80 +33,16 @@ type Setup struct {
 // Run executes the configured window.
 func (s *Setup) Run() (*sim.Report, error) { return s.Sim.Run(s.Warmup, s.Duration) }
 
-// LoadDir reads machines.json, service.json, graph.json, path.json, and
-// client.json from dir and assembles the simulation. An optional faults.json
-// adds resilience policies and a fault-injection plan; an optional
-// control.json attaches the self-healing control plane.
+// LoadDir reads dir's documents (see ReadBase) and assembles the
+// simulation. An optional faults.json adds resilience policies and a
+// fault-injection plan; an optional control.json attaches the
+// self-healing control plane.
 func LoadDir(dir string) (*Setup, error) {
-	docs, err := readBaseDocs(dir)
+	docs, err := ReadBase(dir)
 	if err != nil {
 		return nil, err
 	}
-	var setup *Setup
-	faults, err := os.ReadFile(filepath.Join(dir, "faults.json"))
-	switch {
-	case os.IsNotExist(err):
-		setup, err = Assemble(docs[0], docs[1], docs[2], docs[3], docs[4])
-	case err != nil:
-		return nil, fmt.Errorf("config: reading faults.json: %w", err)
-	default:
-		setup, err = Assemble(docs[0], docs[1], docs[2], docs[3], docs[4], faults)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return applyControlFile(dir, setup)
-}
-
-// LoadDirWithFaults is LoadDir with an explicit faults document replacing
-// any dir/faults.json. Unlike LoadDir's optional lookup, faultsPath must
-// exist.
-func LoadDirWithFaults(dir, faultsPath string) (*Setup, error) {
-	docs, err := readBaseDocs(dir)
-	if err != nil {
-		return nil, err
-	}
-	faults, err := os.ReadFile(faultsPath)
-	if err != nil {
-		return nil, fmt.Errorf("config: reading %s: %w", faultsPath, err)
-	}
-	setup, err := Assemble(docs[0], docs[1], docs[2], docs[3], docs[4], faults)
-	if err != nil {
-		return nil, err
-	}
-	return applyControlFile(dir, setup)
-}
-
-// applyControlFile attaches dir/control.json to an assembled setup when
-// the file exists.
-func applyControlFile(dir string, setup *Setup) (*Setup, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "control.json"))
-	if os.IsNotExist(err) {
-		return setup, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("config: reading control.json: %w", err)
-	}
-	plane, err := ApplyControl(setup.Sim, data)
-	if err != nil {
-		return nil, err
-	}
-	setup.Plane = plane
-	return setup, nil
-}
-
-// readBaseDocs reads the five required config documents from dir in
-// machines, service, graph, path, client order.
-func readBaseDocs(dir string) ([5][]byte, error) {
-	var docs [5][]byte
-	for i, name := range [5]string{"machines.json", "service.json", "graph.json", "path.json", "client.json"} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return docs, fmt.Errorf("config: reading %s: %w", name, err)
-		}
-		docs[i] = b
-	}
-	return docs, nil
+	return docs.Assemble()
 }
 
 // decodeStrict unmarshals one config document, rejecting unknown JSON keys
@@ -158,12 +92,23 @@ func Assemble(machinesJSON, servicesJSON, graphJSON, pathsJSON, clientJSON []byt
 		return nil, fmt.Errorf("config: at most one faults.json document, got %d", len(faultsJSON))
 	}
 	if len(faultsJSON) == 1 {
-		ff = &FaultsFile{}
-		if err := decodeStrict("faults.json", faultsJSON[0], ff); err != nil {
+		var err error
+		if ff, err = DecodeFaults(faultsJSON[0]); err != nil {
 			return nil, err
 		}
 	}
 	return assemble(&mf, &sf, &gf, &pf, &cf, ff)
+}
+
+// DecodeFaults decodes a faults.json document as strictly as Assemble
+// does: unknown keys fail, with a did-you-mean suggestion when one is
+// close.
+func DecodeFaults(data []byte) (*FaultsFile, error) {
+	ff := &FaultsFile{}
+	if err := decodeStrict("faults.json", data, ff); err != nil {
+		return nil, err
+	}
+	return ff, nil
 }
 
 func assemble(mf *MachinesFile, sf *ServicesFile, gf *GraphFile, pf *PathsFile, cf *ClientFile, ff *FaultsFile) (*Setup, error) {

@@ -68,7 +68,6 @@ type Engine struct {
 	// else on the engine remains single-threaded.
 	stopped   atomic.Bool
 	processed uint64
-	canceled  uint64
 }
 
 var _ Runner = (*Engine)(nil)
@@ -124,11 +123,7 @@ func (e *Engine) check(t Time, fn Callback) {
 
 // Cancel prevents ev from firing and removes its heap entry. Cancelling an
 // already-fired or already-cancelled event is a harmless no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if e.q.remove(ev) {
-		e.canceled++
-	}
-}
+func (e *Engine) Cancel(ev *Event) { e.q.remove(ev) }
 
 // Step fires the single earliest pending event. It reports false when the
 // queue is empty or the engine has been stopped.

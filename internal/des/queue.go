@@ -33,33 +33,23 @@ func (q *eventQueue) schedule(t Time, fn Callback, pooled bool) *Event {
 	return ev
 }
 
-// peek reports the timestamp of the earliest live event, discarding any
-// cancelled entries it finds at the top.
+// peek reports the timestamp of the earliest event. Cancel removes an
+// event's heap entry, so the heap holds only live events.
 func (q *eventQueue) peek() (Time, bool) {
-	for len(q.h) > 0 {
-		if q.h[0].canceled {
-			ev := heap.Pop(&q.h).(*Event)
-			q.recycle(ev)
-			continue
-		}
-		return q.h[0].at, true
+	if len(q.h) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return q.h[0].at, true
 }
 
-// pop removes and returns the earliest live event, or nil when the
-// queue is empty. The caller is responsible for recycling pooled
-// events after invoking their callbacks (see recycle).
+// pop removes and returns the earliest event, or nil when the queue is
+// empty. The caller is responsible for recycling pooled events after
+// invoking their callbacks (see recycle).
 func (q *eventQueue) pop() *Event {
-	for len(q.h) > 0 {
-		ev := heap.Pop(&q.h).(*Event)
-		if ev.canceled {
-			q.recycle(ev)
-			continue
-		}
-		return ev
+	if len(q.h) == 0 {
+		return nil
 	}
-	return nil
+	return heap.Pop(&q.h).(*Event)
 }
 
 // remove cancels ev and, when it is still queued, removes its heap

@@ -8,10 +8,6 @@ import (
 	"uqsim/internal/des"
 )
 
-// cacheZipf builds the popularity model used for the analytic ceiling
-// column of the emergent-cache experiment.
-func cacheZipf(n int, s float64) *cache.Zipf { return cache.NewZipf(n, s) }
-
 // ExtTimeouts demonstrates the timeout/retry extension — behaviour the
 // paper explicitly notes its simulator lacks ("the simulator does not
 // capture timeouts and the associated overhead of reconnections, which can
@@ -82,7 +78,7 @@ func ExtEmergentCache(o Opts) (*Table, error) {
 	t.Note = "hit probability derived from LRU+Zipf dynamics, not configured"
 	w, d := o.window(300*des.Millisecond, 3*des.Second)
 	const keys = 100000
-	zipf := cacheZipf(keys, 0.99)
+	zipf := cache.NewZipf(keys, 0.99)
 	for _, items := range []int{1000, 5000, 20000, 50000} {
 		s, lru, err := apps.CachedTwoTier(apps.CachedTwoTierConfig{
 			Seed: o.Seed, QPS: 800, Keys: keys, CacheItems: items, Network: true,

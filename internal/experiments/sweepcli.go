@@ -74,16 +74,6 @@ func SweepRowMod(cfgDir string, qps float64, mod func(*sim.Sim) error) ([]string
 	}, nil
 }
 
-// ApplyFidelity applies the CLI -fidelity/-sample-rate overrides to an
-// assembled simulation: "full" clears any configured hybrid split,
-// "hybrid" installs one (sample rate defaults to the config's, else 0.01),
-// and a bare sample-rate override retunes an already-hybrid setup. The
-// logic lives in internal/config so the chaos harness (which this package
-// imports) can share it without an import cycle.
-func ApplyFidelity(s *sim.Sim, fidelity string, sampleRate float64) error {
-	return config.ApplyFidelity(s, fidelity, sampleRate)
-}
-
 // SweepTable builds the table cmd/uqsim-sweep prints, ready for rows from
 // SweepRow.
 func SweepTable(cfgDir string) *Table {

@@ -234,6 +234,3 @@ func (p *Plan) Validate() error {
 	}
 	return nil
 }
-
-// Empty reports whether the plan schedules anything.
-func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }

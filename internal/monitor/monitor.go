@@ -15,70 +15,31 @@ import (
 	"uqsim/internal/stats"
 )
 
-// Target is anything the monitor can sample. service.Instance satisfies it.
-type Target interface {
-	QueueLen() int
-	InFlight() int
-	Utilization(now des.Time) float64
-}
-
-var _ Target = (*service.Instance)(nil)
-
-// ErrorTarget is an optional Target extension for targets that reject work:
-// cumulative shed (queue-bound) and dropped (kill/crash) counts.
-// service.Instance satisfies it.
-type ErrorTarget interface {
-	Shed() uint64
-	Dropped() uint64
-}
-
-// HealthTarget is an optional Target extension for targets that can be taken
-// down by fault injection. service.Instance satisfies it.
-type HealthTarget interface {
-	Down() bool
-}
-
-// WasteTarget is an optional Target extension for targets that discard
-// work under overload control: jobs cancelled before service (deadline
-// expiry, lost hedge races caught in the queue) and completed services
-// nobody consumed. service.Instance satisfies it.
-type WasteTarget interface {
-	CanceledEarly() uint64
-	WastedWork() uint64
-}
-
-var (
-	_ ErrorTarget  = (*service.Instance)(nil)
-	_ HealthTarget = (*service.Instance)(nil)
-	_ WasteTarget  = (*service.Instance)(nil)
-)
-
-// Series holds the sampled time series of one target.
+// Series holds the sampled time series of one instance.
 type Series struct {
 	Name     string
 	QueueLen *stats.TimeSeries
 	InFlight *stats.TimeSeries
 	// Util is the cumulative mean utilization at each sample time.
 	Util *stats.TimeSeries
-	// Shed and Dropped track cumulative rejected work; nil unless the
-	// target implements ErrorTarget.
+	// Shed and Dropped track cumulative rejected work: queue-bound sheds
+	// and kill/crash drops.
 	Shed    *stats.TimeSeries
 	Dropped *stats.TimeSeries
-	// Up is 1 while the target is serving and 0 while faulted; nil unless
-	// the target implements HealthTarget.
+	// Up is 1 while the instance is serving and 0 while faulted.
 	Up *stats.TimeSeries
 	// Canceled and Wasted track cumulative discarded work (cancelled
-	// before service vs served uselessly); nil unless the target
-	// implements WasteTarget.
+	// before service vs served uselessly).
 	Canceled *stats.TimeSeries
 	Wasted   *stats.TimeSeries
+
+	in *service.Instance
 }
 
 // Monitor drives periodic sampling on a DES engine.
 type Monitor struct {
 	eng      des.Scheduler
 	interval des.Time
-	targets  []Target
 	series   []*Series
 	gaugeFns []func(now des.Time) float64
 	gauges   []*stats.TimeSeries
@@ -94,9 +55,9 @@ func New(eng des.Scheduler, interval des.Time) *Monitor {
 	return &Monitor{eng: eng, interval: interval}
 }
 
-// Watch registers a target under a display name. Must be called before
-// Start.
-func (m *Monitor) Watch(name string, t Target) *Series {
+// Watch registers an instance under a display name. Must be called
+// before Start.
+func (m *Monitor) Watch(name string, in *service.Instance) *Series {
 	if m.started {
 		panic("monitor: Watch after Start")
 	}
@@ -105,19 +66,13 @@ func (m *Monitor) Watch(name string, t Target) *Series {
 		QueueLen: stats.NewTimeSeries(name + ".qlen"),
 		InFlight: stats.NewTimeSeries(name + ".inflight"),
 		Util:     stats.NewTimeSeries(name + ".util"),
+		Shed:     stats.NewTimeSeries(name + ".shed"),
+		Dropped:  stats.NewTimeSeries(name + ".dropped"),
+		Up:       stats.NewTimeSeries(name + ".up"),
+		Canceled: stats.NewTimeSeries(name + ".canceled"),
+		Wasted:   stats.NewTimeSeries(name + ".wasted"),
+		in:       in,
 	}
-	if _, ok := t.(ErrorTarget); ok {
-		s.Shed = stats.NewTimeSeries(name + ".shed")
-		s.Dropped = stats.NewTimeSeries(name + ".dropped")
-	}
-	if _, ok := t.(HealthTarget); ok {
-		s.Up = stats.NewTimeSeries(name + ".up")
-	}
-	if _, ok := t.(WasteTarget); ok {
-		s.Canceled = stats.NewTimeSeries(name + ".canceled")
-		s.Wasted = stats.NewTimeSeries(name + ".wasted")
-	}
-	m.targets = append(m.targets, t)
 	m.series = append(m.series, s)
 	return s
 }
@@ -149,26 +104,20 @@ func (m *Monitor) Start() {
 
 func (m *Monitor) sample(now des.Time) {
 	m.samples++
-	for i, t := range m.targets {
-		s := m.series[i]
-		s.QueueLen.Record(now, float64(t.QueueLen()))
-		s.InFlight.Record(now, float64(t.InFlight()))
-		s.Util.Record(now, t.Utilization(now))
-		if et, ok := t.(ErrorTarget); ok {
-			s.Shed.Record(now, float64(et.Shed()))
-			s.Dropped.Record(now, float64(et.Dropped()))
+	for _, s := range m.series {
+		in := s.in
+		s.QueueLen.Record(now, float64(in.QueueLen()))
+		s.InFlight.Record(now, float64(in.InFlight()))
+		s.Util.Record(now, in.Utilization(now))
+		s.Shed.Record(now, float64(in.Shed()))
+		s.Dropped.Record(now, float64(in.Dropped()))
+		up := 1.0
+		if in.Down() {
+			up = 0
 		}
-		if ht, ok := t.(HealthTarget); ok {
-			up := 1.0
-			if ht.Down() {
-				up = 0
-			}
-			s.Up.Record(now, up)
-		}
-		if wt, ok := t.(WasteTarget); ok {
-			s.Canceled.Record(now, float64(wt.CanceledEarly()))
-			s.Wasted.Record(now, float64(wt.WastedWork()))
-		}
+		s.Up.Record(now, up)
+		s.Canceled.Record(now, float64(in.CanceledEarly()))
+		s.Wasted.Record(now, float64(in.WastedWork()))
 	}
 	for i, fn := range m.gaugeFns {
 		m.gauges[i].Record(now, fn(now))
@@ -182,7 +131,7 @@ func (m *Monitor) Samples() int { return m.samples }
 // Series returns the registered series in Watch order.
 func (m *Monitor) AllSeries() []*Series { return m.series }
 
-// PeakQueueLen reports the maximum sampled queue length per target.
+// PeakQueueLen reports the maximum sampled queue length per watched instance.
 func (m *Monitor) PeakQueueLen() map[string]float64 {
 	out := make(map[string]float64, len(m.series))
 	for _, s := range m.series {
@@ -198,21 +147,14 @@ func (m *Monitor) PeakQueueLen() map[string]float64 {
 }
 
 // CSV renders all series as one CSV document (t_s, then one column per
-// target per metric).
+// instance per metric).
 func (m *Monitor) CSV() string {
 	var b strings.Builder
 	b.WriteString("t_s")
 	for _, s := range m.series {
-		fmt.Fprintf(&b, ",%s_qlen,%s_inflight,%s_util", s.Name, s.Name, s.Name)
-		if s.Shed != nil {
-			fmt.Fprintf(&b, ",%s_shed,%s_dropped", s.Name, s.Name)
-		}
-		if s.Up != nil {
-			fmt.Fprintf(&b, ",%s_up", s.Name)
-		}
-		if s.Canceled != nil {
-			fmt.Fprintf(&b, ",%s_canceled,%s_wasted", s.Name, s.Name)
-		}
+		n := s.Name
+		fmt.Fprintf(&b, ",%s_qlen,%s_inflight,%s_util,%s_shed,%s_dropped,%s_up,%s_canceled,%s_wasted",
+			n, n, n, n, n, n, n, n)
 	}
 	for _, g := range m.gauges {
 		fmt.Fprintf(&b, ",%s", g.Name)
@@ -226,30 +168,17 @@ func (m *Monitor) CSV() string {
 		fmt.Fprintf(&b, "%.3f", m.series[0].QueueLen.Points()[i].T.Seconds())
 		for _, s := range m.series {
 			if i < s.QueueLen.Len() {
-				fmt.Fprintf(&b, ",%.0f,%.0f,%.3f",
+				fmt.Fprintf(&b, ",%.0f,%.0f,%.3f,%.0f,%.0f,%.0f,%.0f,%.0f",
 					s.QueueLen.Points()[i].V,
 					s.InFlight.Points()[i].V,
-					s.Util.Points()[i].V)
-				if s.Shed != nil {
-					fmt.Fprintf(&b, ",%.0f,%.0f", s.Shed.Points()[i].V, s.Dropped.Points()[i].V)
-				}
-				if s.Up != nil {
-					fmt.Fprintf(&b, ",%.0f", s.Up.Points()[i].V)
-				}
-				if s.Canceled != nil {
-					fmt.Fprintf(&b, ",%.0f,%.0f", s.Canceled.Points()[i].V, s.Wasted.Points()[i].V)
-				}
+					s.Util.Points()[i].V,
+					s.Shed.Points()[i].V,
+					s.Dropped.Points()[i].V,
+					s.Up.Points()[i].V,
+					s.Canceled.Points()[i].V,
+					s.Wasted.Points()[i].V)
 			} else {
-				b.WriteString(",,,")
-				if s.Shed != nil {
-					b.WriteString(",,")
-				}
-				if s.Up != nil {
-					b.WriteString(",")
-				}
-				if s.Canceled != nil {
-					b.WriteString(",,")
-				}
+				b.WriteString(",,,,,,,,")
 			}
 		}
 		for _, g := range m.gauges {

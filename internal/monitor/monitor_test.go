@@ -11,10 +11,20 @@ import (
 	"uqsim/internal/graph"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
+	"uqsim/internal/stats"
 	"uqsim/internal/workload"
 )
 
 func buildMonitored(t *testing.T, qps float64) (*sim.Sim, *Monitor) {
+	t.Helper()
+	s, m := buildWatched(t, qps)
+	m.Start()
+	return s, m
+}
+
+// buildWatched is buildMonitored without the Start, so a test can
+// register more series first.
+func buildWatched(t *testing.T, qps float64) (*sim.Sim, *Monitor) {
 	t.Helper()
 	s := sim.New(sim.Options{Seed: 4})
 	s.AddMachine("m0", 8, cluster.FreqSpec{})
@@ -29,7 +39,6 @@ func buildMonitored(t *testing.T, qps float64) (*sim.Sim, *Monitor) {
 	s.SetClient(sim.ClientConfig{Pattern: workload.ConstantRate(qps)})
 	m := New(s.Engine(), 10*des.Millisecond)
 	m.Watch("svc-0", dep.Instances[0])
-	m.Start()
 	return s, m
 }
 
@@ -177,4 +186,28 @@ func TestMonitorGuards(t *testing.T) {
 		}
 	}()
 	m.Watch("late", nil)
+}
+
+// A sim with no network faults has a nil Sim.Net; WatchNet still samples
+// it, as zeros.
+func TestWatchNetPerfectFabric(t *testing.T) {
+	s, m := buildWatched(t, 1000)
+	if s.Net() != nil {
+		t.Fatal("no network fault installed, want a nil net state")
+	}
+	unreach, drops, dups := m.WatchNet("net", s.Net())
+	m.Start()
+	if _, err := s.Run(0, 100*des.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []*stats.TimeSeries{unreach, drops, dups} {
+		if ts.Len() != m.Samples() || ts.Len() == 0 {
+			t.Fatalf("%s: %d points for %d samples", ts.Name, ts.Len(), m.Samples())
+		}
+		for _, p := range ts.Points() {
+			if p.V != 0 {
+				t.Fatalf("%s = %v at %v, want 0", ts.Name, p.V, p.T)
+			}
+		}
+	}
 }

@@ -6,26 +6,14 @@ import (
 	"uqsim/internal/stats"
 )
 
-// NetSource exposes the cumulative network-fault counters the monitor can
-// track: attempts failed fast on an open partition, gray-link message
-// drops, and gray-link duplicates. netfault.State satisfies it.
-type NetSource interface {
-	Unreachable() uint64
-	LinkDrops() uint64
-	LinkDups() uint64
-}
-
-var _ NetSource = (*netfault.State)(nil)
-
 // WatchNet registers cumulative network-fault series (<name>.unreachable,
-// <name>.linkdrops, <name>.linkdups) sampled on the monitor cadence. Must
-// be called before Start.
-func (m *Monitor) WatchNet(name string, src NetSource) (unreachable, drops, dups *stats.TimeSeries) {
-	if src == nil {
-		panic("monitor: WatchNet needs a source")
-	}
-	unreachable = m.WatchGauge(name+".unreachable", func(des.Time) float64 { return float64(src.Unreachable()) })
-	drops = m.WatchGauge(name+".linkdrops", func(des.Time) float64 { return float64(src.LinkDrops()) })
-	dups = m.WatchGauge(name+".linkdups", func(des.Time) float64 { return float64(src.LinkDups()) })
+// <name>.linkdrops, <name>.linkdups) sampled on the monitor cadence: attempts
+// failed fast on an open partition, gray-link message drops, and gray-link
+// duplicates. A nil st (a perfect fabric) records zeros. Must be called
+// before Start.
+func (m *Monitor) WatchNet(name string, st *netfault.State) (unreachable, drops, dups *stats.TimeSeries) {
+	unreachable = m.WatchGauge(name+".unreachable", func(des.Time) float64 { return float64(st.Unreachable()) })
+	drops = m.WatchGauge(name+".linkdrops", func(des.Time) float64 { return float64(st.LinkDrops()) })
+	dups = m.WatchGauge(name+".linkdups", func(des.Time) float64 { return float64(st.LinkDups()) })
 	return unreachable, drops, dups
 }

@@ -33,15 +33,6 @@ func (s *Sim) HybridConfig() *hybrid.Config { return s.hybridCfg }
 // overriding a hybrid config file).
 func (s *Sim) ClearHybrid() { s.hybridCfg = nil }
 
-// SetHybridMonitor attaches m's gauges to the fluid tier when the run
-// starts (background offered rate, per-service equilibrium rho and queue
-// length) so dashboards separate fluid load from sampled load. m is
-// typically an *internal/monitor.Monitor.
-func (s *Sim) SetHybridMonitor(m hybrid.GaugeRegistry) { s.hybridMon = m }
-
-// Fluid exposes the live fluid tier (nil before Run or at sample rate 1).
-func (s *Sim) Fluid() *hybrid.State { return s.fluid }
-
 // fluidResolve re-solves the background equilibrium at a fault or heal
 // boundary. No-op outside hybrid runs; inside one, the fluid tier
 // accrues the old solution up to now and solves the new one immediately
@@ -156,9 +147,6 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 	}
 	s.fluid = st
 	s.sampleRNG = s.split.Stream("hybrid", "sample")
-	if s.hybridMon != nil {
-		st.Attach(s.hybridMon)
-	}
 	st.Start(s.eng, 0, warmupEnd)
 	return nil
 }

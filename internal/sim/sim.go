@@ -178,7 +178,6 @@ type Sim struct {
 	fluid     *hybrid.State
 	fluidIdx  map[string]int
 	sampleRNG *rng.Source
-	hybridMon hybrid.GaugeRegistry
 	// fgPattern is the run-local thinned arrival pattern the open-loop
 	// generator uses under hybrid fidelity; the stored client config keeps
 	// the unthinned pattern so it is never thinned twice.

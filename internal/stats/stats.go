@@ -67,40 +67,6 @@ func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 // Reset clears the accumulator.
 func (w *Welford) Reset() { *w = Welford{} }
 
-// Counter counts events over virtual time and converts to rates.
-type Counter struct {
-	n     uint64
-	since des.Time
-}
-
-// NewCounter returns a counter whose window starts at start.
-func NewCounter(start des.Time) *Counter { return &Counter{since: start} }
-
-// Inc adds one event.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds n events.
-func (c *Counter) Add(n uint64) { c.n += n }
-
-// Count reports the number of events since the window start.
-func (c *Counter) Count() uint64 { return c.n }
-
-// Rate reports events per second of virtual time from the window start to
-// now. Zero-length windows report 0.
-func (c *Counter) Rate(now des.Time) float64 {
-	dt := (now - c.since).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return float64(c.n) / dt
-}
-
-// ResetAt restarts the window at now.
-func (c *Counter) ResetAt(now des.Time) {
-	c.n = 0
-	c.since = now
-}
-
 // Point is one (virtual time, value) observation in a TimeSeries.
 type Point struct {
 	T des.Time

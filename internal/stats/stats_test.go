@@ -161,29 +161,6 @@ func TestWelford(t *testing.T) {
 	}
 }
 
-func TestCounterRate(t *testing.T) {
-	c := NewCounter(0)
-	c.Add(500)
-	c.Inc()
-	if c.Count() != 501 {
-		t.Fatal("count")
-	}
-	if got := c.Rate(des.Second); math.Abs(got-501) > 1e-9 {
-		t.Fatalf("rate = %v", got)
-	}
-	if c.Rate(0) != 0 {
-		t.Fatal("zero-window rate should be 0")
-	}
-	c.ResetAt(des.Second)
-	if c.Count() != 0 {
-		t.Fatal("reset")
-	}
-	c.Inc()
-	if got := c.Rate(des.Second + des.Second/2); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("rate after reset = %v", got)
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	ts := NewTimeSeries("p99")
 	ts.Record(0, 1)

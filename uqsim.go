@@ -276,7 +276,9 @@ type ConfigSetup = config.Setup
 
 // LoadConfig reads machines.json, service.json, graph.json, path.json, and
 // client.json from dir (the paper's Table I inputs), plus the optional
-// faults.json and control.json.
+// faults.json and control.json, and assembles the simulation. A
+// control.json's self-healing plane comes back attached as
+// ConfigSetup.Plane.
 func LoadConfig(dir string) (*ConfigSetup, error) { return config.LoadDir(dir) }
 
 // ---- prebuilt application models ----
@@ -361,8 +363,8 @@ type FailureDomain = netfault.Domain
 
 // NetState carries a simulation's network-fault state and its
 // attempt-level counters (Unreachable, LinkDrops, LinkDups); read it via
-// Sim.Net. It satisfies the monitor's NetSource, so
-// Monitor.WatchNet(name, s.Net()) records the counters as time series.
+// Sim.Net, which is nil on a perfect fabric. Monitor.WatchNet(name,
+// s.Net()) records the counters as time series (zeros when nil).
 type NetState = netfault.State
 
 // ResiliencePolicy guards RPC edges with attempt timeouts, backoff retries,
