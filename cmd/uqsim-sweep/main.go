@@ -60,7 +60,7 @@ func run(cfgDir string, from, to, step float64, csv bool, maxWall time.Duration,
 		if wd.Interrupted() {
 			break
 		}
-		row, err := experiments.SweepRowMod(cfgDir, qps, mod)
+		row, err := experiments.SweepRow(cfgDir, qps, mod)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "uqsim-sweep:", err)
 			return cli.ExitPartial

@@ -21,7 +21,6 @@ import (
 	"uqsim/internal/config"
 	"uqsim/internal/des"
 	"uqsim/internal/trace"
-	"uqsim/internal/workload"
 )
 
 func main() {
@@ -49,10 +48,7 @@ func run(cfgDir string, slowest, sample int, qps float64, duration, maxWall time
 		return cli.ExitPartial
 	}
 	if qps > 0 {
-		cc := setup.Sim.Client()
-		cc.Pattern = workload.ConstantRate(qps)
-		cc.ClosedUsers = 0
-		setup.Sim.SetClient(cc)
+		setup.SetQPS(qps)
 	}
 	if duration > 0 {
 		setup.Duration = des.Time(duration)

@@ -25,7 +25,6 @@ import (
 	"uqsim/internal/config"
 	"uqsim/internal/des"
 	"uqsim/internal/experiments"
-	"uqsim/internal/workload"
 )
 
 func main() {
@@ -71,11 +70,7 @@ func run(cfgDir, faultsPath string, qps float64, warmup, duration time.Duration,
 		return err
 	}
 	if qps > 0 {
-		cc := setup.Sim.Client()
-		cc.Pattern = workload.ConstantRate(qps)
-		cc.ClosedUsers = 0
-		cc.Sessions = nil
-		setup.Sim.SetClient(cc)
+		setup.SetQPS(qps)
 	}
 	if err := config.ApplyFidelity(setup.Sim, fidelity, sampleRate); err != nil {
 		return err

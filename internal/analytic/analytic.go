@@ -206,43 +206,6 @@ func MMkAt(lambda, mu float64, k int) MMkPoint {
 	return p
 }
 
-// ClosedMMkRate solves the closed-population fixed point of n users
-// cycling through think (mean thinkS seconds) and one M/M/k service
-// (mean service time es seconds, k servers): λ = n / (thinkS + es +
-// Wq(λ)). The iteration is damped and always converges to the unique
-// fixed point; the returned rate never exceeds the bottleneck capacity
-// k/es (a closed loop self-limits — users queue rather than vanish, so
-// there is no shed flow). Degenerate inputs return 0.
-//
-// The iteration runs at most 64 steps and stops as soon as a step leaves
-// λ unchanged: the map is a pure function of λ, so every later step
-// would return the same value and the result equals the full 64.
-func ClosedMMkRate(n, thinkS, es float64, k int) float64 {
-	if n <= 0 || es <= 0 || k <= 0 || thinkS < 0 {
-		return 0
-	}
-	mu := 1 / es
-	capacity := float64(k) * mu
-	// Start from the no-queueing estimate, clamped inside capacity.
-	lam := math.Min(n/(thinkS+es), 0.999*capacity)
-	for i := 0; i < 64; i++ {
-		prev := lam
-		if w := MMkMeanWait(lam, mu, k); IsSaturated(w) {
-			lam = 0.999 * capacity
-		} else {
-			next := n / (thinkS + es + w)
-			if next >= capacity {
-				next = 0.999 * capacity
-			}
-			lam = 0.5*lam + 0.5*next
-		}
-		if lam == prev {
-			break
-		}
-	}
-	return lam
-}
-
 // MMkMeanSojourn is the mean time in system of M/M/k.
 func MMkMeanSojourn(lambda, mu float64, k int) float64 {
 	w := MMkMeanWait(lambda, mu, k)

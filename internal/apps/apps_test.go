@@ -6,6 +6,7 @@ import (
 
 	"uqsim/internal/analytic"
 	"uqsim/internal/des"
+	"uqsim/internal/service"
 	"uqsim/internal/sim"
 )
 
@@ -46,6 +47,58 @@ func TestBlueprintsValidate(t *testing.T) {
 		if err := bp.Validate(); err != nil {
 			t.Errorf("blueprint invalid: %v", err)
 		}
+	}
+}
+
+// TestBigHouseCollapse: the BigHouse model of a path is one stage on one
+// path whose cost mean is the whole path's: every stage's base and per-job
+// mean plus its per-KB cost at the mean request size.
+func TestBigHouseCollapse(t *testing.T) {
+	for _, bp := range []*service.Blueprint{Memcached(), Nginx()} {
+		for pi := range bp.Paths {
+			for _, kb := range []float64{0, 0.6} {
+				bh := BigHouse(bp, pi, kb)
+				if err := bh.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if len(bh.Stages) != 1 || len(bh.Paths) != 1 {
+					t.Fatalf("%s path %d: %d stages, %d paths, want 1 and 1", bp.Name, pi, len(bh.Stages), len(bh.Paths))
+				}
+				want := 0.0
+				for _, si := range bp.Paths[pi].Stages {
+					st := bp.Stages[si]
+					if st.Base != nil {
+						want += st.Base.Mean()
+					}
+					if st.PerJob != nil {
+						want += st.PerJob.Mean()
+					}
+					want += st.PerKB * kb
+				}
+				if got := bh.Stages[0].PerJob.Mean(); math.Abs(got-want) > 1e-9*want {
+					t.Fatalf("%s path %d at %v KB: cost mean %v, want %v", bp.Name, pi, kb, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBigHouseSaturatesAtCapacity: past saturation the BigHouse model's
+// goodput holds at its G/G/k capacity k/E[S] instead of falling as the
+// backlog grows.
+func TestBigHouseSaturatesAtCapacity(t *testing.T) {
+	bh := BigHouse(Nginx(), 0, 0.6)
+	capacity := 1e9 / bh.Stages[0].PerJob.Mean() // one core
+	s, err := SingleService(bh, "default", 1, 2*capacity, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run(300*des.Millisecond, des.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(rep.GoodputQPS-capacity)/capacity > 0.02 {
+		t.Fatalf("goodput %v at 2× offered load, want ≈ capacity %v", rep.GoodputQPS, capacity)
 	}
 }
 

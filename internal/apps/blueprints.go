@@ -17,6 +17,7 @@ import (
 	"uqsim/internal/des"
 	"uqsim/internal/dist"
 	"uqsim/internal/queueing"
+	"uqsim/internal/rng"
 	"uqsim/internal/service"
 	"uqsim/internal/sim"
 )
@@ -231,24 +232,45 @@ func DefaultNetwork() sim.NetworkConfig {
 	}
 }
 
-// CollapsedSamplers extracts the stage cost samplers along one execution
-// path of a blueprint — the BigHouse-style single-stage collapse, where
-// every per-dispatch base cost (epoll) is charged in full to every request
-// instead of being amortized across a batch. meanSizeKB folds the per-KB
-// stage costs in as deterministic components.
-func CollapsedSamplers(bp *service.Blueprint, pathIdx int, meanSizeKB float64) []dist.Sampler {
-	var out []dist.Sampler
+// BigHouse is the single-stage collapse of one execution path of a
+// blueprint: the modelling approach of BigHouse (Meisner et al., ISPASS
+// 2012), µqSim's Fig. 13 baseline, which treats an application as one
+// G/G/k queue characterized only by its total service time. Every stage's
+// base and per-job cost is charged in full to every request, so the
+// per-dispatch base cost (epoll) is never amortized across a batch.
+// meanSizeKB folds the per-KB stage costs in as deterministic components.
+func BigHouse(bp *service.Blueprint, pathIdx int, meanSizeKB float64) *service.Blueprint {
+	var parts sum
 	for _, si := range bp.Paths[pathIdx].Stages {
 		st := bp.Stages[si]
 		if st.Base != nil {
-			out = append(out, st.Base)
+			parts = append(parts, st.Base)
 		}
 		if st.PerJob != nil {
-			out = append(out, st.PerJob)
+			parts = append(parts, st.PerJob)
 		}
 		if st.PerKB > 0 && meanSizeKB > 0 {
-			out = append(out, dist.NewDeterministic(st.PerKB*meanSizeKB))
+			parts = append(parts, dist.NewDeterministic(st.PerKB*meanSizeKB))
 		}
 	}
-	return out
+	return service.SingleStage(bp.Name, parts)
+}
+
+// sum samples the total of its component samplers.
+type sum []dist.Sampler
+
+func (s sum) Sample(r *rng.Source) float64 {
+	total := 0.0
+	for _, p := range s {
+		total += p.Sample(r)
+	}
+	return total
+}
+
+func (s sum) Mean() float64 {
+	total := 0.0
+	for _, p := range s {
+		total += p.Mean()
+	}
+	return total
 }

@@ -33,6 +33,17 @@ type Setup struct {
 // Run executes the configured window.
 func (s *Setup) Run() (*sim.Report, error) { return s.Sim.Run(s.Warmup, s.Duration) }
 
+// SetQPS replaces the configured client load with a constant open-loop
+// rate (the CLIs' -qps override and the sweep rows). Closed-loop users and
+// sessions are cleared; every other client setting stays.
+func (s *Setup) SetQPS(qps float64) {
+	cc := s.Sim.Client()
+	cc.Pattern = workload.ConstantRate(qps)
+	cc.ClosedUsers = 0
+	cc.Sessions = nil
+	s.Sim.SetClient(cc)
+}
+
 // LoadDir reads dir's documents (see ReadBase) and assembles the
 // simulation. An optional faults.json adds resilience policies and a
 // fault-injection plan; an optional control.json attaches the

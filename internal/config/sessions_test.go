@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -153,5 +154,27 @@ func TestHybridConfigRun(t *testing.T) {
 	}
 	if err := validate.Conservation(rep); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetQPSReplacesSessions: the constant-load override (uqsim -qps,
+// uqsim-trace -qps, sweep rows) turns a session config into an open loop
+// at the requested rate.
+func TestSetQPSReplacesSessions(t *testing.T) {
+	setup, err := withSessions(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const qps = 5000.0
+	setup.SetQPS(qps)
+	if setup.Sim.Client().Sessions != nil {
+		t.Fatal("SetQPS left the sessions client installed")
+	}
+	rep, err := setup.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(rep.OfferedQPS-qps)/qps > 0.05 {
+		t.Fatalf("offered %.0f QPS, want within 5%% of %.0f", rep.OfferedQPS, qps)
 	}
 }

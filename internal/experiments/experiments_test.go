@@ -68,7 +68,7 @@ func TestOptsScaling(t *testing.T) {
 }
 
 func TestGrid(t *testing.T) {
-	g := grid(10, 50, 10)
+	g := SweepGrid(10, 50, 10)
 	if len(g) != 5 || g[0] != 10 || g[4] != 50 {
 		t.Fatalf("grid %v", g)
 	}
@@ -190,12 +190,24 @@ func TestFig12bSmoke(t *testing.T) { smoke(t, "fig12b") }
 
 func TestFig13SmokeShowsBothSimulators(t *testing.T) {
 	tb := smoke(t, "fig13")
-	sims := map[string]bool{}
+	// Each series' rows run in load order, so its last row is its top
+	// offered load.
+	last := map[[2]string][]string{}
 	for _, r := range tb.Rows {
-		sims[r[1]] = true
+		last[[2]string{r[0], r[1]}] = r
 	}
-	if !sims["uqsim"] || !sims["bighouse"] {
-		t.Fatalf("simulators %v", sims)
+	for _, app := range []string{"nginx-1p", "memcached-4t"} {
+		uq, bh := last[[2]string{app, "uqsim"}], last[[2]string{app, "bighouse"}]
+		if uq == nil || bh == nil || uq[2] != bh[2] {
+			t.Fatalf("%s: want both simulators at the same top load, got %v and %v", app, uq, bh)
+		}
+		// Past saturation the single queue, which never amortizes
+		// epoll, delivers less than the staged model.
+		uqGood, err1 := strconv.ParseFloat(uq[3], 64)
+		bhGood, err2 := strconv.ParseFloat(bh[3], 64)
+		if err1 != nil || err2 != nil || bhGood >= uqGood {
+			t.Fatalf("%s at %s QPS: bighouse goodput %s, want below uqsim's %s", app, uq[2], bh[3], uq[3])
+		}
 	}
 }
 

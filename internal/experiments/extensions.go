@@ -20,7 +20,7 @@ func ExtTimeouts(o Opts) (*Table, error) {
 		"client", "offered_qps", "effective_qps", "goodput_qps", "timeout_rate", "p99_ms")
 	t.Note = "models the post-saturation cliff the paper attributes to timeouts/reconnections"
 	w, d := o.window(300*des.Millisecond, des.Second)
-	loads := o.thin(grid(40000, 70000, 10000))
+	loads := o.thin(SweepGrid(40000, 70000, 10000))
 	for _, c := range []struct {
 		label   string
 		timeout des.Time

@@ -7,6 +7,7 @@ import (
 	"uqsim/internal/apps"
 	"uqsim/internal/des"
 	"uqsim/internal/dist"
+	"uqsim/internal/service"
 	"uqsim/internal/sim"
 )
 
@@ -35,7 +36,7 @@ func Fig5TwoTier(o Opts) (*Table, error) {
 				Seed: o.Seed, QPS: qps,
 				NginxCores: c.nginx, MemcachedThreads: c.mc, Network: true,
 			})
-		}, grid(c.maxQPS/8, c.maxQPS, c.maxQPS/8), 300*des.Millisecond, des.Second)
+		}, SweepGrid(c.maxQPS/8, c.maxQPS, c.maxQPS/8), 300*des.Millisecond, des.Second)
 		if err != nil {
 			return nil, err
 		}
@@ -51,7 +52,7 @@ func Fig6ThreeTier(o Opts) (*Table, error) {
 	t.Note = "paper: disk I/O bound; scaling the other tiers does not help"
 	pts, err := sweep(o, func(qps float64) (*sim.Sim, error) {
 		return apps.ThreeTier(apps.ThreeTierConfig{Seed: o.Seed, QPS: qps, Network: true})
-	}, grid(250, 2750, 250), 300*des.Millisecond, 2*des.Second)
+	}, SweepGrid(250, 2750, 250), 300*des.Millisecond, 2*des.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +74,7 @@ func Fig8LoadBalancing(o Opts) (*Table, error) {
 		}
 		pts, err := sweep(o, func(qps float64) (*sim.Sim, error) {
 			return apps.LoadBalanced(apps.ScaleOutConfig{Seed: o.Seed, QPS: qps, Servers: n})
-		}, grid(maxQPS/8, maxQPS, maxQPS/8), 300*des.Millisecond, des.Second)
+		}, SweepGrid(maxQPS/8, maxQPS, maxQPS/8), 300*des.Millisecond, des.Second)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +93,7 @@ func Fig10Fanout(o Opts) (*Table, error) {
 		n := n
 		pts, err := sweep(o, func(qps float64) (*sim.Sim, error) {
 			return apps.Fanout(apps.ScaleOutConfig{Seed: o.Seed, QPS: qps, Servers: n})
-		}, grid(1500, 10500, 1500), 300*des.Millisecond, des.Second)
+		}, SweepGrid(1500, 10500, 1500), 300*des.Millisecond, des.Second)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +109,7 @@ func Fig12aThrift(o Opts) (*Table, error) {
 	t.Note = "paper: <100µs at low load, saturation ≈50 kQPS"
 	pts, err := sweep(o, func(qps float64) (*sim.Sim, error) {
 		return apps.ThriftHello(apps.ThriftHelloConfig{Seed: o.Seed, QPS: qps, Network: true})
-	}, grid(5000, 65000, 5000), 300*des.Millisecond, des.Second)
+	}, SweepGrid(5000, 65000, 5000), 300*des.Millisecond, des.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +124,7 @@ func Fig12bSocialNetwork(o Opts) (*Table, error) {
 	t.Note = "paper: close latency match at low load, same saturation throughput"
 	pts, err := sweep(o, func(qps float64) (*sim.Sim, error) {
 		return apps.SocialNetwork(apps.SocialNetworkConfig{Seed: o.Seed, QPS: qps, Network: true})
-	}, grid(500, 6000, 500), 300*des.Millisecond, des.Second)
+	}, SweepGrid(500, 6000, 500), 300*des.Millisecond, des.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -193,9 +194,9 @@ func Fig13BigHouse(o Opts) (*Table, error) {
 		meanKB float64
 	}
 	cases := []appCase{
-		{"nginx-1p", "nginx", "serve", 1, grid(2000, 11000, 1500),
+		{"nginx-1p", "nginx", "serve", 1, SweepGrid(2000, 11000, 1500),
 			dist.NewDeterministic(612.0 / 1024), 612.0 / 1024},
-		{"memcached-4t", "memcached", "memcached_read", 4, grid(100000, 1000000, 100000),
+		{"memcached-4t", "memcached", "memcached_read", 4, SweepGrid(100000, 1000000, 100000),
 			dist.NewExponential(1), 1},
 	}
 	for _, c := range cases {
@@ -209,35 +210,34 @@ func Fig13BigHouse(o Opts) (*Table, error) {
 				pathIdx = i
 			}
 		}
-		// µqSim: full stage model.
-		for _, qps := range o.thin(c.loads) {
-			s, err := apps.SingleService(bp, c.path, c.cores, qps, o.Seed, c.sizeKB)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := s.Run(w, d)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkConservation(rep); err != nil {
-				return nil, err
-			}
-			t.Add(c.label, "uqsim",
-				fmt.Sprintf("%.0f", qps),
-				fmt.Sprintf("%.0f", rep.GoodputQPS),
-				fmt.Sprintf("%.3f", rep.Latency.P99().Millis()))
+		// µqSim runs the full stage model; BigHouse the single-stage
+		// collapse of the same path, on the same engine and measurement.
+		series := []struct {
+			name string
+			bp   *service.Blueprint
+			path string
+		}{
+			{"uqsim", bp, c.path},
+			{"bighouse", apps.BigHouse(bp, pathIdx, c.meanKB), "default"},
 		}
-		// BigHouse: single-stage collapse.
-		svc := bhCollapse(bp, pathIdx, c.meanKB)
-		for _, qps := range o.thin(c.loads) {
-			res, err := bhRun(o.Seed, c.cores, svc, qps, w, d)
-			if err != nil {
-				return nil, err
+		for _, sr := range series {
+			for _, qps := range o.thin(c.loads) {
+				s, err := apps.SingleService(sr.bp, sr.path, c.cores, qps, o.Seed, c.sizeKB)
+				if err != nil {
+					return nil, err
+				}
+				rep, err := s.Run(w, d)
+				if err != nil {
+					return nil, err
+				}
+				if err := checkConservation(rep); err != nil {
+					return nil, err
+				}
+				t.Add(c.label, sr.name,
+					fmt.Sprintf("%.0f", qps),
+					fmt.Sprintf("%.0f", rep.GoodputQPS),
+					fmt.Sprintf("%.3f", rep.Latency.P99().Millis()))
 			}
-			t.Add(c.label, "bighouse",
-				fmt.Sprintf("%.0f", qps),
-				fmt.Sprintf("%.0f", res.goodput),
-				fmt.Sprintf("%.3f", res.p99.Millis()))
 		}
 	}
 	return t, nil

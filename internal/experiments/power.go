@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"uqsim/internal/apps"
-	"uqsim/internal/bighouse"
 	"uqsim/internal/des"
-	"uqsim/internal/dist"
 	"uqsim/internal/job"
 	"uqsim/internal/power"
-	"uqsim/internal/service"
 	"uqsim/internal/workload"
 )
 
@@ -153,28 +150,4 @@ func Table3PowerViolations(o Opts) (*Table, error) {
 		)
 	}
 	return t, nil
-}
-
-// ---- BigHouse adapter (keeps figures.go free of direct dependencies) ----
-
-type bhResult struct {
-	goodput float64
-	p99     des.Time
-}
-
-func bhCollapse(bp *service.Blueprint, pathIdx int, meanKB float64) dist.Sampler {
-	return bighouse.SingleStageService(apps.CollapsedSamplers(bp, pathIdx, meanKB)...)
-}
-
-func bhRun(seed uint64, servers int, svc dist.Sampler, qps float64, warmup, dur des.Time) (*bhResult, error) {
-	res, err := bighouse.Run(bighouse.Config{
-		Seed:         seed,
-		Servers:      servers,
-		Service:      svc,
-		Interarrival: dist.NewExponential(1e9 / qps),
-	}, warmup, dur)
-	if err != nil {
-		return nil, err
-	}
-	return &bhResult{goodput: res.GoodputQPS, p99: res.Latency.P99()}, nil
 }

@@ -108,15 +108,6 @@ func curveColumns() []string {
 	return []string{"config", "offered_qps", "goodput_qps", "mean_ms", "p50_ms", "p99_ms"}
 }
 
-// grid builds an inclusive linear load grid.
-func grid(from, to, step float64) []float64 {
-	var out []float64
-	for v := from; v <= to+1e-9; v += step {
-		out = append(out, v)
-	}
-	return out
-}
-
 // saturation measures sustained goodput under the given overload.
 func saturation(o Opts, build builder, overload float64) (float64, error) {
 	w, d := o.window(200*des.Millisecond, des.Second)

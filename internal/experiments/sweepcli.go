@@ -5,7 +5,6 @@ import (
 
 	"uqsim/internal/config"
 	"uqsim/internal/sim"
-	"uqsim/internal/workload"
 )
 
 // This file is the shared core of the load-sweep workflow: cmd/uqsim-sweep
@@ -35,25 +34,16 @@ func SweepGrid(from, to, step float64) []float64 {
 // it as a table row in SweepColumns order. Each point assembles a fresh
 // simulation from the config directory (same seed, same windows), so rows
 // are independent: any subset can run anywhere, in any order, and still
-// match a serial sweep.
-func SweepRow(cfgDir string, qps float64) ([]string, error) {
-	return SweepRowMod(cfgDir, qps, nil)
-}
-
-// SweepRowMod is SweepRow with a hook to adjust the assembled simulation
-// before it runs (fidelity overrides, attached monitors). The
+// match a serial sweep. A non-nil mod adjusts the assembled simulation
+// before it runs (fidelity overrides, attached monitors); the
 // byte-identical serial-vs-farm contract extends to any deterministic mod
 // applied equally on both paths.
-func SweepRowMod(cfgDir string, qps float64, mod func(*sim.Sim) error) ([]string, error) {
+func SweepRow(cfgDir string, qps float64, mod func(*sim.Sim) error) ([]string, error) {
 	setup, err := config.LoadDir(cfgDir)
 	if err != nil {
 		return nil, err
 	}
-	cc := setup.Sim.Client()
-	cc.Pattern = workload.ConstantRate(qps)
-	cc.ClosedUsers = 0
-	cc.Sessions = nil
-	setup.Sim.SetClient(cc)
+	setup.SetQPS(qps)
 	if mod != nil {
 		if err := mod(setup.Sim); err != nil {
 			return nil, err

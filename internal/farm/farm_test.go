@@ -63,7 +63,7 @@ func serialCSV(t *testing.T, cfgDir string, from, to, step float64) string {
 	t.Helper()
 	table := experiments.SweepTable(cfgDir)
 	for _, qps := range experiments.SweepGrid(from, to, step) {
-		row, err := experiments.SweepRow(cfgDir, qps)
+		row, err := experiments.SweepRow(cfgDir, qps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func TestFarmPoisonQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := experiments.SweepRow(cfgDir, 21000)
+	want, err := experiments.SweepRow(cfgDir, 21000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

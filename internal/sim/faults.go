@@ -72,15 +72,14 @@ func (s *Sim) InstallFaults(plan fault.Plan) error {
 			s.netState()
 		case fault.LoadStep:
 			// Needs an open-loop client (closed loops have no target rate
-			// to scale), installed before the plan so the pattern can be
-			// wrapped here.
+			// to scale); Run checks it again against the client it runs,
+			// which is where the scale joins the arrival pattern.
 			if s.clientCfg.ClosedUsers > 0 || s.clientCfg.Pattern == nil {
 				return fmt.Errorf("sim: fault event %d (%s) needs an open-loop client installed first", i, ev.Kind)
 			}
 			if s.loadScale == nil {
 				scale := 1.0
 				s.loadScale = &scale
-				s.clientCfg.Pattern = &scaledPattern{base: s.clientCfg.Pattern, scale: s.loadScale}
 			}
 		}
 		ev := ev
@@ -216,15 +215,30 @@ func (s *Sim) applyFault(now des.Time, ev fault.Event) {
 	}
 }
 
-// scaledPattern multiplies a base arrival pattern by a live scale factor —
-// the LoadStep fault's hook into the open-loop generator, which consults
-// RateAt per interarrival gap and so observes scale changes immediately.
+// scaledPattern is the open-loop generator's effective arrival pattern:
+// the client's base pattern times the live LoadStep scale (nil when the
+// plan has no load step) times the hybrid foreground sample rate (1 at
+// full fidelity). Thinning a Poisson process by p yields a Poisson
+// process at p·λ, so the sampled foreground is statistically exact. The
+// generator consults RateAt per interarrival gap and so observes scale
+// changes immediately.
 type scaledPattern struct {
-	base  workload.Pattern
-	scale *float64
+	base   workload.Pattern
+	load   *float64
+	sample float64
 }
 
-func (p *scaledPattern) RateAt(t des.Time) float64 { return p.base.RateAt(t) * *p.scale }
+// offered is the total offered rate at t: load steps scale it, thinning
+// does not.
+func (p *scaledPattern) offered(t des.Time) float64 {
+	r := p.base.RateAt(t)
+	if p.load != nil {
+		r *= *p.load
+	}
+	return r
+}
+
+func (p *scaledPattern) RateAt(t des.Time) float64 { return p.offered(t) * p.sample }
 
 // killInstance takes one deployed instance down and propagates every lost
 // job upstream. No-op when already down.

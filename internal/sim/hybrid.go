@@ -43,21 +43,11 @@ func (s *Sim) fluidResolve(now des.Time) {
 	}
 }
 
-// thinnedPattern scales an arrival pattern by the foreground sample rate:
-// thinning a Poisson process by p yields a Poisson process at p·λ, so the
-// sampled foreground is statistically exact, not an approximation. It
-// composes with the fault plan's scaledPattern (load steps scale the
-// total offered rate; the thinning always applies on top).
-type thinnedPattern struct {
-	base workload.Pattern
-	f    float64
-}
-
-func (p *thinnedPattern) RateAt(t des.Time) float64 { return p.base.RateAt(t) * p.f }
-
 // setupHybrid builds the fluid tier at Run time. Inert configurations
-// (sample rate 1.0) leave the simulation untouched.
-func (s *Sim) setupHybrid(warmupEnd des.Time) error {
+// (sample rate 1.0) leave the simulation untouched. open is the run's
+// open-loop pattern (nil for session clients); setupHybrid thins it to
+// the foreground sample rate.
+func (s *Sim) setupHybrid(warmupEnd des.Time, open *scaledPattern) error {
 	cfg := *s.hybridCfg
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -133,12 +123,8 @@ func (s *Sim) setupHybrid(warmupEnd des.Time) error {
 		sc := s.clientCfg.Sessions
 		rate = closedRateMemo(sc, svcs)
 	} else {
-		base := s.clientCfg.Pattern
-		rate = func(t des.Time) float64 { return base.RateAt(t) }
-		// The thinned pattern is run-local: mutating the stored client
-		// config would compound the thinning (rate · sampleRate²) on a
-		// subsequent Run of the same Sim.
-		s.fgPattern = &thinnedPattern{base: base, f: cfg.SampleRate}
+		rate = open.offered
+		open.sample = cfg.SampleRate
 	}
 
 	st, err := hybrid.New(cfg, svcs, rate, s.split)
@@ -384,9 +370,10 @@ func meanServiceSeconds(bp *service.Blueprint, meanKB float64) (float64, error) 
 
 // closedPopulationRate solves the closed-population fixed point over the
 // full service chain: n users cycling through think time Z and every
-// service's queue, λ = n / (Z + Σ visits·(E[S] + Wq)). Like
-// analytic.ClosedMMkRate but multi-service; the returned rate never
-// exceeds the bottleneck capacity.
+// service's queue, λ = n / (Z + Σ visits·(E[S] + Wq)). The iteration is
+// damped, and the returned rate never exceeds the bottleneck capacity (a
+// closed loop self-limits — users queue rather than vanish, so there is no
+// shed flow). Degenerate inputs return 0.
 func closedPopulationRate(n, thinkS float64, svcs []hybrid.Service) float64 {
 	if n <= 0 {
 		return 0

@@ -334,3 +334,54 @@ func TestPolicyValidationAtInstall(t *testing.T) {
 		t.Fatal("max queue for unknown service accepted")
 	}
 }
+
+// TestLoadStepSurvivesSetClient: a load override installs its client after
+// the fault plan (uqsim -qps, sweeps), so a later SetClient must not drop
+// the plan's load step, and the stored client keeps the caller's pattern.
+func TestLoadStepSurvivesSetClient(t *testing.T) {
+	const qps = 400.0
+	steps := fault.Plan{Events: []fault.Event{
+		{At: 200 * des.Millisecond, Kind: fault.LoadStep, Factor: 3, Until: 600 * des.Millisecond},
+	}}
+	run := func(reset bool) (*Report, *Sim) {
+		s := buildSingle(t, dist.NewDeterministic(float64(100*des.Microsecond)), 4, qps)
+		if err := s.InstallFaults(steps); err != nil {
+			t.Fatal(err)
+		}
+		if reset {
+			s.SetClient(ClientConfig{Pattern: workload.ConstantRate(qps)})
+		}
+		rep, err := s.Run(0, des.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, s
+	}
+	twin, _ := run(false)
+	rep, s := run(true)
+	if rep.Arrivals != twin.Arrivals {
+		t.Fatalf("arrivals %d after re-SetClient, %d without: the load step was dropped", rep.Arrivals, twin.Arrivals)
+	}
+	// 0.4s at 3× on top of 1s at the base rate: ~1.8× the base arrivals.
+	if float64(rep.Arrivals) < 1.5*qps {
+		t.Fatalf("arrivals %d, want ~%v with the load step applied", rep.Arrivals, 1.8*qps)
+	}
+	if got := s.Client().Pattern; got != workload.Pattern(workload.ConstantRate(qps)) {
+		t.Fatalf("stored client pattern is %#v, want the caller's ConstantRate(%v)", got, qps)
+	}
+}
+
+// TestLoadStepNeedsOpenLoopAtRun: a load step installed against an open
+// loop cannot scale a closed-loop client swapped in before Run.
+func TestLoadStepNeedsOpenLoopAtRun(t *testing.T) {
+	s := buildSingle(t, dist.NewDeterministic(float64(100*des.Microsecond)), 4, 100)
+	if err := s.InstallFaults(fault.Plan{Events: []fault.Event{
+		{At: 200 * des.Millisecond, Kind: fault.LoadStep, Factor: 2},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	s.SetClient(ClientConfig{ClosedUsers: 4})
+	if _, err := s.Run(0, des.Second); err == nil {
+		t.Fatal("load step with a closed-loop client at Run should fail")
+	}
+}

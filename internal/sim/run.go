@@ -23,9 +23,17 @@ func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
 	s.warmupEnd = warmup
 	horizon := warmup + duration
 	s.installOverload()
-	s.fgPattern = nil
+	// The open-loop generator's effective pattern is built here, never
+	// stored in the client config, so a later SetClient cannot drop a
+	// load step and a second Run cannot thin twice.
+	var open *scaledPattern
+	if s.clientCfg.ClosedUsers <= 0 && s.clientCfg.Sessions == nil {
+		open = &scaledPattern{base: s.clientCfg.Pattern, load: s.loadScale, sample: 1}
+	} else if s.loadScale != nil {
+		return nil, fmt.Errorf("sim: a load_step fault needs an open-loop client")
+	}
 	if s.hybridCfg != nil {
-		if err := s.setupHybrid(warmup); err != nil {
+		if err := s.setupHybrid(warmup, open); err != nil {
 			return nil, err
 		}
 	}
@@ -62,9 +70,11 @@ func (s *Sim) Run(warmup, duration des.Time) (*Report, error) {
 		sess.Start(0)
 		defer sess.Stop()
 	} else {
-		pat := s.clientCfg.Pattern
-		if s.fgPattern != nil {
-			pat = s.fgPattern // hybrid fidelity: sampled-foreground thinning
+		// Unscaled runs hand the generator the client's own pattern, which
+		// NewOpenLoop validates if it can.
+		var pat workload.Pattern = open
+		if open.load == nil && open.sample == 1 {
+			pat = open.base
 		}
 		gen := workload.NewOpenLoop(s.eng, s.clientRNG, pat, s.onArrival)
 		gen.Proc = s.clientCfg.Proc

@@ -178,13 +178,10 @@ type Sim struct {
 	fluid     *hybrid.State
 	fluidIdx  map[string]int
 	sampleRNG *rng.Source
-	// fgPattern is the run-local thinned arrival pattern the open-loop
-	// generator uses under hybrid fidelity; the stored client config keeps
-	// the unthinned pattern so it is never thinned twice.
-	fgPattern workload.Pattern
-	// loadScale multiplies the open-loop arrival rate; nil until the
-	// first LoadStep fault wraps the client pattern. LoadStep events
-	// write through it, so the generator sees rate changes live.
+	// loadScale multiplies the open-loop arrival rate; nil until a
+	// LoadStep fault is installed. LoadStep events write through it, and
+	// Run's scaledPattern reads it, so the generator sees rate changes
+	// live whatever client is installed at Run.
 	loadScale *float64
 
 	inflight map[job.ID]*reqState
